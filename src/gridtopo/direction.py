@@ -10,9 +10,6 @@ first:
    (or reflects a recording gap), so flow is treated as free between
    its terminals: the line is deliberately left undirected here.
 3. Endpoint classes differing: high feeds low.
-4. A line rated above an endpoint's class cannot be fed from that end.
-   (With rule 3 ahead of it this rule never decides alone; it is kept
-   for completeness.)
 
 Stage 2 collects the still-undirected lines into connected residual
 subgraphs and orients each by multi-source BFS from its entry points:
@@ -68,7 +65,6 @@ class Direction(Enum):
 
 class Provenance(Enum):
     TWO_END_VOLTAGE = "TwoEndVoltage"
-    LINE_VOLTAGE = "LineVoltage"
     GENERATOR_SOURCE = "GeneratorSource"
     SPECIAL_FREE_FLOW = "SpecialFreeFlow"
     BOTH_ENDS_GENERATOR_RANDOM = "BothEndsGeneratorRandom"
@@ -80,7 +76,6 @@ class Provenance(Enum):
 HEURISTIC_PROVENANCES = frozenset(
     {
         Provenance.TWO_END_VOLTAGE,
-        Provenance.LINE_VOLTAGE,
         Provenance.GENERATOR_SOURCE,
         Provenance.BOTH_ENDS_GENERATOR_RANDOM,
     }
@@ -186,14 +181,6 @@ def apply_heuristics(
         if voltage_rule is not None:
             directions[line_id] = voltage_rule
             provenance[line_id] = Provenance.TWO_END_VOLTAGE
-            continue
-        # Line above exactly one endpoint class would force the other
-        # end as source; unreachable when the rule above tied.
-        blocked_a = class_line > class_a
-        blocked_b = class_line > class_b
-        if blocked_a != blocked_b:
-            directions[line_id] = Direction.B_TO_A if blocked_a else Direction.A_TO_B
-            provenance[line_id] = Provenance.LINE_VOLTAGE
 
     return PartialOrientation(
         directions=MappingProxyType(directions),

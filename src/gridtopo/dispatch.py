@@ -17,28 +17,29 @@ LP formulation, per bus i (sets follow the orientation):
 ``eps_i`` is the unserved demand at bus i, so the problem is always
 feasible (shed everything) and the objective equals total load minus
 total delivered generation. Flows carry no upper bounds because line
-limits are not part of the dataset. The LP is solved exactly with the
-in-house simplex; only bus-level quantities and the objective are
-contractual; per-line flows are one optimal allocation among possibly
-many.
+limits are not part of the dataset, which makes the LP exactly a
+max-flow problem: source -> bus i with capacity cap_i, one
+uncapacitated arc per oriented line, bus i -> sink with capacity
+load_i. The objective is total load minus the max flow, which Dinic's
+algorithm finds exactly; injections, unserved demand and line flows
+are read off the residual capacities. Only bus-level quantities and
+the objective are contractual; per-line flows are one optimum among
+possibly many.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping
 
-import numpy as np
-
-from . import simplex
 from .demand import DemandIndex
 from .direction import Orientation
 from .graph import Grid
 from .ingest import GridDataset, parse_snapshot_outputs
-from .simplex import SolverStall, UnboundedProblem
 
 __all__ = [
     "MODE_MAX_CAPACITY",
@@ -51,8 +52,6 @@ __all__ = [
     "estimate_bus_load",
     "solve_flow_lp",
     "write_solution_files",
-    "SolverStall",
-    "UnboundedProblem",
 ]
 
 MODE_MAX_CAPACITY = "max"
@@ -191,7 +190,8 @@ class FlowSolution:
     """Optimal flows, injections, and unserved demand for one scenario.
 
     ``loads`` echoes the LP's input bus loads so a solution is
-    self-contained for export and rendering.
+    self-contained for export and rendering. ``iterations`` is the
+    solver's work: the number of augmenting paths the max-flow took.
     """
 
     flows: Mapping[str, float]
@@ -209,6 +209,68 @@ class FlowSolution:
         return math.fsum(self.loads.values())
 
 
+def _max_flow(node_count, arcs, source, sink) -> tuple[list[float], int]:
+    """Dinic's max-flow over ``arcs``, a list of ``(tail, head, capacity)``.
+
+    Returns the residual capacities and the number of augmenting paths.
+    Arc k's residual is ``residual[2 * k]``; its reverse arc's residual,
+    ``residual[2 * k + 1]``, is the flow it carries. Each augmentation
+    leaves its bottleneck arc at exactly 0.0, so float capacities need
+    no tolerance to terminate.
+    """
+    head: list[int] = []
+    residual: list[float] = []
+    out: list[list[int]] = [[] for _ in range(node_count)]
+    for tail, to, capacity in arcs:
+        out[tail].append(len(head))
+        out[to].append(len(head) + 1)
+        head += (to, tail)
+        residual += (capacity, 0.0)
+
+    augmentations = 0
+    while True:
+        level = [-1] * node_count
+        level[source] = 0
+        queue = deque([source])
+        while queue:
+            node = queue.popleft()
+            for arc in out[node]:
+                if residual[arc] > 0.0 and level[head[arc]] < 0:
+                    level[head[arc]] = level[node] + 1
+                    queue.append(head[arc])
+        if level[sink] < 0:
+            return residual, augmentations
+
+        # Blocking flow: iterative DFS along level-increasing arcs.
+        cursor = [0] * node_count
+        path: list[int] = []
+        node = source
+        while True:
+            if node == sink:
+                push = min(residual[arc] for arc in path)
+                for arc in path:
+                    residual[arc] -= push
+                    residual[arc ^ 1] += push
+                augmentations += 1
+                saturated = next(k for k, arc in enumerate(path) if residual[arc] == 0.0)
+                del path[saturated:]
+                node = head[path[-1]] if path else source
+                continue
+            candidates = out[node]
+            while cursor[node] < len(candidates):
+                arc = candidates[cursor[node]]
+                if residual[arc] > 0.0 and level[head[arc]] == level[node] + 1:
+                    path.append(arc)
+                    node = head[arc]
+                    break
+                cursor[node] += 1
+            else:
+                if node == source:
+                    break
+                node = head[path.pop() ^ 1]
+                cursor[node] += 1
+
+
 def solve_flow_lp(
     orientation: Orientation,
     grid: Grid,
@@ -223,7 +285,7 @@ def solve_flow_lp(
     """
     bus_ids = sorted(grid.adjacency)
     line_ids = sorted(grid.lines)
-    n, m = len(bus_ids), len(line_ids)
+    n = len(bus_ids)
     if n == 0:
         return FlowSolution(
             flows=MappingProxyType({}),
@@ -239,32 +301,24 @@ def solve_flow_lp(
     loads = [bus_load.values.get(bus, 0.0) for bus in bus_ids]
     if min(loads) < 0.0:
         raise ValueError("bus loads must be nonnegative")
+    if min(caps.values()) < 0.0:
+        raise ValueError("generation outputs must be nonnegative")
 
-    # Columns: flows (m) | gen (n) | eps (n) | cap slack (n)
-    total = m + 3 * n
-    A = np.zeros((2 * n, total))
-    b = np.zeros(2 * n)
-    c = np.zeros(total)
-    c[m + n : m + 2 * n] = 1.0
-
-    for col, line_id in enumerate(line_ids):
+    # Nodes: buses 0..n-1, source n, sink n+1. Arcs: source -> bus (cap),
+    # bus -> sink (load), then one uncapacitated arc per oriented line.
+    source, sink = n, n + 1
+    arcs = [(source, i, caps[bus]) for i, bus in enumerate(bus_ids)]
+    arcs += [(i, sink, loads[i]) for i in range(n)]
+    for line_id in line_ids:
         frm, to = orientation.from_to(grid.lines[line_id])
-        A[bus_pos[frm], col] -= 1.0
-        A[bus_pos[to], col] += 1.0
-    for i, bus in enumerate(bus_ids):
-        A[i, m + i] = 1.0  # generation
-        A[i, m + n + i] = 1.0  # unserved demand
-        b[i] = loads[i]
-        A[n + i, m + i] = 1.0  # capacity row: gen + slack = cap
-        A[n + i, m + 2 * n + i] = 1.0
-        b[n + i] = caps[bus]
+        arcs.append((bus_pos[frm], bus_pos[to], math.inf))
+    residual_caps, augmentations = _max_flow(n + 2, arcs, source, sink)
 
-    basis = list(range(m + n, m + 2 * n)) + list(range(m + 2 * n, m + 3 * n))
-    x, objective, iterations = simplex.solve(c, A, b, basis)
-
-    flows = {line_id: float(x[col]) for col, line_id in enumerate(line_ids)}
-    injections = {bus: float(x[m + i]) for i, bus in enumerate(bus_ids)}
-    mismatch = {bus: float(x[m + n + i]) for i, bus in enumerate(bus_ids)}
+    injections = {bus: caps[bus] - residual_caps[2 * i] for i, bus in enumerate(bus_ids)}
+    mismatch = {bus: residual_caps[2 * (n + i)] for i, bus in enumerate(bus_ids)}
+    flows = {
+        line_id: residual_caps[2 * (2 * n + k) + 1] for k, line_id in enumerate(line_ids)
+    }
 
     residual = 0.0
     for i, bus in enumerate(bus_ids):
@@ -279,9 +333,9 @@ def solve_flow_lp(
         injections=MappingProxyType(injections),
         mismatch=MappingProxyType(mismatch),
         loads=MappingProxyType({bus: loads[i] for i, bus in enumerate(bus_ids)}),
-        objective=objective,
+        objective=math.fsum(mismatch.values()),
         max_residual=residual,
-        iterations=iterations,
+        iterations=augmentations,
     )
 
 

@@ -120,8 +120,8 @@ def lp_case(bus_ids, arcs, caps, loads):
     return grid, orientation, snapshot, bus_load
 
 
-def random_lp_instance(rng, max_buses=6, max_lines=8):
-    n = rng.randint(2, max_buses)
+def random_lp_instance(rng, max_buses=6, max_lines=8, min_buses=2):
+    n = rng.randint(min_buses, max_buses)
     bus_ids = [f"B{i}" for i in range(n)]
     m = rng.randint(1, max_lines)
     arcs = []

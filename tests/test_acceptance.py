@@ -27,7 +27,7 @@ from helpers import (
     toy_dataset,
 )
 
-HEURISTIC_STABLE = ("TwoEndVoltage", "LineVoltage", "GeneratorSource")
+HEURISTIC_STABLE = ("TwoEndVoltage", "GeneratorSource")
 
 
 def ok(criterion: str, detail: str) -> None:

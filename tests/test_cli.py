@@ -1,9 +1,14 @@
 import hashlib
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gridtopo
 from gridtopo.cli import cli_main
 
 from helpers import FIXTURES
@@ -293,3 +298,11 @@ def test_fetch_via_file_urls(capsys, tmp_path):
         str(tmp_path),
     )
     assert code != 0
+
+
+def test_cli_import_does_not_load_numpy():
+    src = str(Path(gridtopo.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, gridtopo.cli; sys.exit('numpy' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], env=env, timeout=60)
+    assert result.returncode == 0

@@ -285,7 +285,6 @@ def test_heuristic_stage_is_seed_invariant():
     rng = random.Random(808)
     stable = {
         Provenance.TWO_END_VOLTAGE,
-        Provenance.LINE_VOLTAGE,
         Provenance.GENERATOR_SOURCE,
         Provenance.BFS_TREE,
         Provenance.SPECIAL_FREE_FLOW,

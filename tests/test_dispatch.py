@@ -2,10 +2,8 @@ import math
 import random
 from types import MappingProxyType
 
-import numpy as np
 import pytest
 
-from gridtopo import simplex
 from gridtopo.demand import DemandIndex
 from gridtopo.dispatch import (
     estimate_bus_load,
@@ -212,6 +210,8 @@ def test_lp_matches_bruteforce_oracle():
 
 def test_lp_matches_scipy():
     linprog = pytest.importorskip("scipy.optimize").linprog
+    import numpy as np
+
     rng = random.Random(90210)
     for _ in range(40):
         bus_ids, arcs, caps, loads = random_lp_instance(rng)
@@ -239,6 +239,51 @@ def test_lp_matches_scipy():
         reference = linprog(c, A_eq=A, b_eq=rhs, bounds=bounds, method="highs")
         assert reference.status == 0
         assert solution.objective == pytest.approx(reference.fun, abs=1e-7)
+
+
+def test_lp_matches_networkx_beyond_bruteforce_size():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(4242)
+    for _ in range(30):
+        bus_ids, arcs, caps, loads = random_lp_instance(
+            rng, min_buses=50, max_buses=500, max_lines=1000
+        )
+        grid, orientation, snap, load = lp_case(bus_ids, arcs, caps, loads)
+        solution = solve_flow_lp(orientation, grid, load, snap)
+
+        network = nx.DiGraph()
+        network.add_nodes_from(("source", "sink"))
+        for bus, cap in caps.items():
+            network.add_edge("source", ("bus", bus), capacity=cap)
+        for bus, demand in loads.items():
+            network.add_edge(("bus", bus), "sink", capacity=demand)
+        for _lid, frm, to in arcs:
+            network.add_edge(("bus", frm), ("bus", to))  # no capacity: unbounded
+        total_load = sum(loads.values())
+        expected = total_load - nx.maximum_flow_value(network, "source", "sink")
+
+        assert abs(solution.objective - expected) <= 1e-9 * max(1.0, total_load)
+        assert solution.objective >= 0.0
+        assert all(e >= 0.0 for e in solution.mismatch.values())
+        assert all(f >= 0.0 for f in solution.flows.values())
+        assert all(
+            caps.get(bus, 0.0) - injection >= 0.0
+            for bus, injection in solution.injections.items()
+        )
+        assert solution.max_residual <= 1e-6
+
+
+def test_lp_rejects_negative_inputs():
+    grid, orientation, snap, load = lp_case(
+        ["a", "b"], [("l1", "a", "b")], {"a": -1.0}, {"b": 1.0}
+    )
+    with pytest.raises(ValueError, match="generation"):
+        solve_flow_lp(orientation, grid, load, snap)
+    grid, orientation, snap, load = lp_case(
+        ["a", "b"], [("l1", "a", "b")], {"a": 1.0}, {"b": -1.0}
+    )
+    with pytest.raises(ValueError, match="loads"):
+        solve_flow_lp(orientation, grid, load, snap)
 
 
 def test_lp_conservation_and_lower_bound():
@@ -309,34 +354,6 @@ def test_write_solution_files(tmp_path):
     assert flows[1] == "l1,a,b,10.0"
     assert buses[0] == "bus_id,injection_mw,load_mw,epsilon_mw"
     assert "objective_mw = 0.0" in paths["summary"].read_text()
-
-
-# --- simplex edge cases -----------------------------------------------------------
-
-def test_simplex_stall_guard():
-    # one pivot is required; a zero budget must trip the stall guard
-    c = np.array([0.0, 1.0])
-    A = np.array([[1.0, 1.0]])
-    b = np.array([1.0])
-    with pytest.raises(simplex.SolverStall):
-        simplex.solve(c, A, b, [1], max_iterations=0)
-
-
-def test_simplex_detects_unbounded():
-    # min -x with x - s = 0: x can grow forever
-    c = np.array([-1.0, 0.0])
-    A = np.array([[1.0, -1.0]])
-    b = np.array([0.0])
-    with pytest.raises(simplex.UnboundedProblem):
-        simplex.solve(c, A, b, [1])
-
-
-def test_simplex_rejects_bad_basis():
-    c = np.zeros(2)
-    A = np.array([[1.0, 0.0], [1.0, 0.0]])
-    b = np.array([1.0, 1.0])
-    with pytest.raises(ValueError):
-        simplex.solve(c, A, b, [0, 1])
 
 
 def test_serialize_snapshot_round_trip(tmp_path):
