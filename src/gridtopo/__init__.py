@@ -39,7 +39,6 @@ from .dispatch import (
     reachable_buses,
     solve_flow_lp,
 )
-from .fetch import fetch_dataset, parse_manifest
 from .geometry import PlanarPoint, PlanarPolygon, point_in_polygon
 from .graph import Grid, VoltageClass, build_grid, undirected_components, voltage_class
 from .ingest import (
@@ -57,6 +56,17 @@ from .ingest import (
 from .render import RenderStyle, render_dot, render_geojson, render_svg
 
 __version__ = "0.1.0"
+
+_FETCH_NAMES = frozenset({"fetch_dataset", "parse_manifest"})
+
+
+def __getattr__(name):
+    # fetch pulls in urllib and ssl; load it only when one of its names is used.
+    if name in _FETCH_NAMES:
+        from . import fetch
+
+        return getattr(fetch, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "__version__",

@@ -34,7 +34,6 @@ from .dispatch import (
     solve_flow_lp,
     write_solution_files,
 )
-from .fetch import FetchError, fetch_dataset
 from .graph import build_grid
 from .ingest import IngestError, load_dataset, parse_hourly_loads, validate_dataset
 from .render import DEFAULT_STYLE, geojson_text, render_dot, render_geojson, render_svg
@@ -129,9 +128,15 @@ def _emit(text: str, path: Path) -> None:
 
 
 def _cmd_fetch(args) -> str:
+    # Imported here: urllib and ssl are slow to import and no other command needs them.
+    from .fetch import FetchError, fetch_dataset
+
     manifest = args.manifest or (args.data_dir / "manifest.txt")
     cache_dir = args.cache_dir or args.data_dir
-    paths = fetch_dataset(manifest, cache_dir)
+    try:
+        paths = fetch_dataset(manifest, cache_dir)
+    except FetchError as exc:
+        raise ValueError(str(exc)) from exc
     for path in paths:
         print(path)
     return _summary()
@@ -279,7 +284,7 @@ def cli_main(argv=None) -> int:
         print(parser.format_usage(), file=sys.stderr)
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (IngestError, FetchError, ValueError) as exc:
+    except (IngestError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except SystemExit as exc:  # argparse --help/--version

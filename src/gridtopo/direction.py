@@ -126,13 +126,6 @@ class ResidualSubgraph:
     lines: tuple[str, ...]
 
 
-def _bus_outputs(grid: Grid, snapshot: "GenerationSnapshot") -> dict[str, float]:
-    totals: dict[str, float] = {}
-    for bus, gens in grid.generators_by_bus.items():
-        totals[bus] = sum(snapshot.outputs.get(g.id, 0.0) for g in gens)
-    return totals
-
-
 def apply_heuristics(
     grid: Grid, snapshot: "GenerationSnapshot", seed: int = DEFAULT_SEED
 ) -> PartialOrientation:
@@ -143,7 +136,7 @@ def apply_heuristics(
     contradicts the two-end voltage rule wins but is flagged as a
     conflict.
     """
-    outputs = _bus_outputs(grid, snapshot)
+    outputs = snapshot.bus_totals(grid)
     directions: dict[str, Direction] = {}
     provenance: dict[str, Provenance] = {}
     conflicts: list[str] = []
@@ -153,8 +146,8 @@ def apply_heuristics(
         class_a = grid.bus_class(line.endpoint_a)
         class_b = grid.bus_class(line.endpoint_b)
         class_line = grid.line_class(line_id)
-        active_a = outputs.get(line.endpoint_a, 0.0) > 0.0
-        active_b = outputs.get(line.endpoint_b, 0.0) > 0.0
+        active_a = outputs[line.endpoint_a] > 0.0
+        active_b = outputs[line.endpoint_b] > 0.0
 
         voltage_rule = None
         if class_a > class_b:
@@ -234,6 +227,10 @@ def entry_points(
     a stage-1 directed line. Returns ``(entries, used_fallback)``; when
     every rule comes up empty the lowest-id bus serves as entry so the
     subgraph still gets a deterministic orientation.
+
+    Only the subgraph's own buses and their adjacency rows are read, so
+    the cost is O(subgraph buses + their degree): every stage-1 directed
+    line appears in its head's adjacency row.
     """
     classes = {bus: grid.bus_class(bus) for bus in subgraph.buses}
     top = max(classes.values())
@@ -241,19 +238,25 @@ def entry_points(
     if min(classes.values()) < top:
         entries.update(bus for bus, cls in classes.items() if cls == top)
 
-    outputs = _bus_outputs(grid, snapshot)
-    entries.update(bus for bus in subgraph.buses if outputs.get(bus, 0.0) > 0.0)
-
-    member = set(subgraph.buses)
-    for line_id, direction in partial.directions.items():
-        line = grid.lines[line_id]
-        head = line.endpoint_b if direction is Direction.A_TO_B else line.endpoint_a
-        if head in member:
-            entries.add(head)
+    for bus in subgraph.buses:
+        if snapshot.bus_output(grid, bus) > 0.0 or _fed_by_stage_one(bus, grid, partial):
+            entries.add(bus)
 
     if entries:
         return tuple(sorted(entries)), False
     return (subgraph.buses[0],), True
+
+
+def _fed_by_stage_one(bus: str, grid: Grid, partial: PartialOrientation) -> bool:
+    for line_id, _neighbor in grid.adjacency[bus]:
+        direction = partial.directions.get(line_id)
+        if direction is None:
+            continue
+        line = grid.lines[line_id]
+        head = line.endpoint_b if direction is Direction.A_TO_B else line.endpoint_a
+        if head == bus:
+            return True
+    return False
 
 
 def bfs_orient(

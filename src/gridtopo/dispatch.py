@@ -67,11 +67,13 @@ class GenerationSnapshot:
     label: str | None = None
     warnings: tuple[str, ...] = ()
 
+    def bus_output(self, grid: Grid, bus: str) -> float:
+        """Summed output of the generators at ``bus`` (0.0 without any)."""
+        gens = grid.generators_by_bus.get(bus, ())
+        return sum((self.outputs.get(g.id, 0.0) for g in gens), 0.0)
+
     def bus_totals(self, grid: Grid) -> dict[str, float]:
-        totals = {bus: 0.0 for bus in grid.adjacency}
-        for bus, gens in grid.generators_by_bus.items():
-            totals[bus] = sum(self.outputs.get(g.id, 0.0) for g in gens)
-        return totals
+        return {bus: self.bus_output(grid, bus) for bus in grid.adjacency}
 
     def total_output(self) -> float:
         return math.fsum(self.outputs.values())

@@ -8,9 +8,9 @@ are taken at face value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-__all__ = ["PlanarPoint", "PlanarPolygon", "point_in_polygon"]
+__all__ = ["PlanarPoint", "PlanarPolygon", "point_in_polygon", "point_on_boundary"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -33,9 +33,11 @@ class PlanarPolygon:
     Containment uses even-odd semantics, so ring orientation is
     irrelevant and holes simply toggle insideness. Each stored ring is
     normalized to be explicitly closed (first vertex == last vertex).
+    ``bbox`` is ``(min_x, min_y, max_x, max_y)`` over every vertex.
     """
 
     rings: tuple[tuple[PlanarPoint, ...], ...]
+    bbox: tuple[float, float, float, float] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.rings:
@@ -49,6 +51,9 @@ class PlanarPolygon:
                 raise ValueError("ring needs at least 3 distinct vertices")
             normalized.append(ring + (ring[0],))
         object.__setattr__(self, "rings", tuple(normalized))
+        xs = [p.x for ring in normalized for p in ring]
+        ys = [p.y for ring in normalized for p in ring]
+        object.__setattr__(self, "bbox", (min(xs), min(ys), max(xs), max(ys)))
 
     def edges(self):
         for ring in self.rings:
@@ -71,8 +76,14 @@ def point_in_polygon(p: PlanarPoint, poly: PlanarPolygon) -> bool:
 
     Convention: a point lying exactly on any edge (in the float
     arithmetic sense) counts as inside. This keeps features digitized
-    on a shared boundary line deterministic.
+    on a shared boundary line deterministic. A point strictly outside
+    the bounding box is outside without walking the edges (an on-edge
+    point never is); this also keeps rounding in the crossing abscissa
+    from counting a point just left of a vertex as inside.
     """
+    min_x, min_y, max_x, max_y = poly.bbox
+    if p.x < min_x or p.x > max_x or p.y < min_y or p.y > max_y:
+        return False
     inside = False
     for a, b in poly.edges():
         if _on_segment(p, a, b):
@@ -83,3 +94,8 @@ def point_in_polygon(p: PlanarPoint, poly: PlanarPolygon) -> bool:
             if p.x < x_cross:
                 inside = not inside
     return inside
+
+
+def point_on_boundary(p: PlanarPoint, poly: PlanarPolygon) -> bool:
+    """Whether ``p`` lies exactly on an edge of any ring of ``poly``."""
+    return any(_on_segment(p, a, b) for a, b in poly.edges())

@@ -32,7 +32,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
-from .geometry import PlanarPoint, PlanarPolygon, point_in_polygon
+from .geometry import PlanarPoint, PlanarPolygon, point_in_polygon, point_on_boundary
 
 __all__ = [
     "IngestError",
@@ -600,8 +600,25 @@ def serialize_snapshot_outputs(outputs: Mapping[str, float]) -> str:
 # ---------------------------------------------------------------------------
 # Linking, region assignment, validation
 
-def _containing(point: PlanarPoint, shapes, boundary_of):
-    return [s for s in shapes if point_in_polygon(point, boundary_of(s))]
+def _area_of(
+    point: PlanarPoint, planning_areas: Sequence[PlanningArea], subject: str
+) -> PlanningArea | None:
+    """The planning area holding ``point``; None outside every area.
+
+    A point on a border shared by several areas goes to the one that
+    holds it strictly inside, or, when it lies only on their
+    boundaries, to the lowest area id. Two areas that both hold it
+    strictly inside overlap, which raises OverlappingAreas.
+    """
+    areas = [a for a in planning_areas if point_in_polygon(point, a.boundary)]
+    if len(areas) <= 1:
+        return areas[0] if areas else None
+    interior = [a for a in areas if not point_on_boundary(point, a.boundary)]
+    if len(interior) > 1:
+        raise OverlappingAreas(
+            f"{subject} lies in planning areas " + ", ".join(sorted(a.id for a in areas))
+        )
+    return interior[0] if interior else min(areas, key=lambda a: a.id)
 
 
 def assign_regions(
@@ -611,20 +628,16 @@ def assign_regions(
 ) -> list[BusRecord]:
     """Annotate each bus with its planning area and urban flag.
 
-    A bus must fall in at most one planning area (areas are assumed to
-    partition the territory); two or more containing areas is a hard
-    error. A bus outside every area keeps ``planning_area_id=None``.
-    Deterministic and independent of record order.
+    Areas are assumed to partition the territory: a bus strictly inside
+    two areas is a hard error, while a bus on a shared border lands in
+    one area as :func:`_area_of` describes. A bus outside every area
+    keeps ``planning_area_id=None``. Deterministic and independent of
+    record order.
     """
     annotated = []
     for bus in buses:
-        areas = _containing(bus.location, planning_areas, lambda a: a.boundary)
-        if len(areas) > 1:
-            raise OverlappingAreas(
-                f"bus {bus.id} lies in planning areas "
-                + ", ".join(sorted(a.id for a in areas))
-            )
-        area_id = areas[0].id if areas else None
+        area = _area_of(bus.location, planning_areas, f"bus {bus.id}")
+        area_id = area.id if area is not None else None
         urban = any(
             point_in_polygon(bus.location, city.boundary) for city in city_polygons
         )
@@ -638,14 +651,11 @@ def aggregate_population(
     """Sum population points into their containing planning area."""
     totals = {area.id: 0 for area in planning_areas}
     for point in points:
-        areas = _containing(point.location, planning_areas, lambda a: a.boundary)
-        if len(areas) > 1:
-            raise OverlappingAreas(
-                f"population point for city {point.city_id} lies in planning areas "
-                + ", ".join(sorted(a.id for a in areas))
-            )
-        if areas:
-            totals[areas[0].id] += point.population
+        area = _area_of(
+            point.location, planning_areas, f"population point for city {point.city_id}"
+        )
+        if area is not None:
+            totals[area.id] += point.population
     return totals
 
 
@@ -663,8 +673,8 @@ def build_dataset(
     """Link, annotate, and freeze parsed records into a GridDataset.
 
     Raises DanglingReference for any cross-file id that does not
-    resolve, and OverlappingAreas if the area polygons fail to
-    partition the buses/population points.
+    resolve, and OverlappingAreas if two area polygons both hold a bus
+    or population point strictly inside.
     """
     bus_ids = {b.id for b in buses}
     for line in lines:

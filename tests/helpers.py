@@ -12,10 +12,12 @@ from gridtopo.geometry import PlanarPoint, PlanarPolygon
 from gridtopo.graph import Grid, build_grid
 from gridtopo.ingest import (
     BusRecord,
+    CityPolygon,
     GeneratorRecord,
     GridDataset,
     LineRecord,
     PlanningArea,
+    PopulationPoint,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -188,3 +190,88 @@ def random_connected_dataset(rng, max_buses=50):
             cap = round(rng.uniform(0.0, 100.0), 1) if rng.random() > 0.2 else 0.0
             gen_specs.append((f"G{i:02d}", f"B{i:02d}", cap))
     return toy_dataset(bus_specs, line_specs, gen_specs)
+
+
+def _square(x0, y0, x1, y1) -> PlanarPolygon:
+    ring = (PlanarPoint(x0, y0), PlanarPoint(x1, y0), PlanarPoint(x1, y1), PlanarPoint(x0, y1))
+    return PlanarPolygon((ring,))
+
+
+def planar_lattice_records(rng, rows, cols, areas_per_side=4, cities=10) -> dict:
+    """Seeded planar-lattice grid as ``build_dataset`` keyword arguments.
+
+    Buses sit at cell centres of a rows x cols lattice with 69/138/240/500
+    kV classes. A random spanning tree keeps the grid connected and
+    further lattice edges bring the line count to about 1.4 per bus; a
+    few lines are rated below both endpoints. One bus in ten has a
+    generator, half of them at 0 MW, so the residual stage sees many
+    subgraphs. Cell borders cut the lattice into areas_per_side**2
+    rectangular planning areas, so no bus lies on an area border, and
+    ``cities`` one-cell squares carry a population point each.
+    """
+    cell = 10.0
+    ids = [[f"B{r:03d}_{c:03d}" for c in range(cols)] for r in range(rows)]
+    kv = {
+        bus: rng.choices((69.0, 138.0, 240.0, 500.0), (0.35, 0.4, 0.15, 0.1))[0]
+        for row in ids
+        for bus in row
+    }
+    buses = [
+        BusRecord(bus, bus, PlanarPoint((c + 0.5) * cell, (r + 0.5) * cell), kv[bus])
+        for r, row in enumerate(ids)
+        for c, bus in enumerate(row)
+    ]
+    edges = [(ids[r][c], ids[r][c + 1]) for r in range(rows) for c in range(cols - 1)]
+    edges += [(ids[r][c], ids[r + 1][c]) for r in range(rows - 1) for c in range(cols)]
+    rng.shuffle(edges)
+    parent = {bus: bus for bus in kv}
+
+    def root(bus):
+        while parent[bus] != bus:
+            parent[bus] = parent[parent[bus]]
+            bus = parent[bus]
+        return bus
+
+    tree, extra = [], []
+    for a, b in edges:
+        ra, rb = root(a), root(b)
+        if ra == rb:
+            extra.append((a, b))
+        else:
+            parent[ra] = rb
+            tree.append((a, b))
+    chosen = tree + extra[: int(0.4 * len(kv)) + 1]
+    lines = []
+    for n, (a, b) in enumerate(chosen):
+        rating = min(kv[a], kv[b])
+        if rng.random() < 0.04 and rating > 69.0:
+            rating = 69.0  # below both endpoint classes: a free-flow line
+        lines.append(LineRecord(f"L{n:05d}", a, b, rating))
+    generators = [
+        GeneratorRecord(f"G{n:05d}", bus.id, rng.uniform(10.0, 500.0) if n % 2 else 0.0, "GAS")
+        for n, bus in enumerate(rng.sample(buses, len(buses) // 10))
+    ]
+    xs = [cell * (j * cols // areas_per_side) for j in range(areas_per_side + 1)]
+    ys = [cell * (i * rows // areas_per_side) for i in range(areas_per_side + 1)]
+    planning_areas = [
+        PlanningArea(f"A{i}{j}", f"A{i}{j}", _square(xs[j], ys[i], xs[j + 1], ys[i + 1]))
+        for i in range(areas_per_side)
+        for j in range(areas_per_side)
+    ]
+    city_cells = rng.sample([(r, c) for r in range(rows) for c in range(cols)], cities)
+    city_polygons = [
+        CityPolygon(f"C{n}", f"C{n}", _square(c * cell, r * cell, (c + 1) * cell, (r + 1) * cell))
+        for n, (r, c) in enumerate(city_cells)
+    ]
+    population_points = [
+        PopulationPoint(f"C{n}", PlanarPoint((c + 0.25) * cell, (r + 0.25) * cell), 1000)
+        for n, (r, c) in enumerate(city_cells)
+    ]
+    return {
+        "buses": buses,
+        "lines": lines,
+        "generators": generators,
+        "planning_areas": planning_areas,
+        "city_polygons": city_polygons,
+        "population_points": population_points,
+    }

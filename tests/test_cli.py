@@ -297,12 +297,14 @@ def test_fetch_via_file_urls(capsys, tmp_path):
         "--data-dir",
         str(tmp_path),
     )
-    assert code != 0
+    assert code == 1
+    assert err.startswith("error: cannot read manifest")
 
 
 def test_cli_import_does_not_load_numpy():
     src = str(Path(gridtopo.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, gridtopo.cli; sys.exit('numpy' in sys.modules)"
+    heavy = ("numpy", "gridtopo.fetch", "urllib.request")
+    code = f"import sys, gridtopo.cli; sys.exit(any(m in sys.modules for m in {heavy!r}))"
     result = subprocess.run([sys.executable, "-c", code], env=env, timeout=60)
     assert result.returncode == 0

@@ -359,3 +359,92 @@ def test_orientation_csv_round_trip(tmp_path):
     assert provenance == {
         line_id: p.value for line_id, p in orientation.provenance.items()
     }
+
+
+# --- linear entry points against the full-scan definition -------------------------
+
+def _reference_entry_points(subgraph, grid, snapshot, partial):
+    """The full-scan definition: every generator and every stage-1 line."""
+    classes = {bus: grid.bus_class(bus) for bus in subgraph.buses}
+    top = max(classes.values())
+    entries = set()
+    if min(classes.values()) < top:
+        entries.update(bus for bus, cls in classes.items() if cls == top)
+    outputs = {
+        bus: sum(snapshot.outputs.get(g.id, 0.0) for g in gens)
+        for bus, gens in grid.generators_by_bus.items()
+    }
+    entries.update(bus for bus in subgraph.buses if outputs.get(bus, 0.0) > 0.0)
+    member = set(subgraph.buses)
+    for line_id, direction in partial.directions.items():
+        line = grid.lines[line_id]
+        head = line.endpoint_b if direction is Direction.A_TO_B else line.endpoint_a
+        if head in member:
+            entries.add(head)
+    if entries:
+        return tuple(sorted(entries)), False
+    return (subgraph.buses[0],), True
+
+
+def _oracle_case(rng):
+    """Random connected grid of 50-500 buses with a varied share of signal.
+
+    Few voltage levels and little generation leave large uniform residual
+    subgraphs, some of them without any entry signal (the fallback).
+    """
+    n = rng.randint(50, 500)
+    levels = rng.sample([25.0, 69.0, 138.0, 240.0, 500.0], rng.randint(1, 5))
+    gen_share = rng.choice([0.0, 0.02, 0.3])
+    bus_specs = [(f"B{i:03d}", rng.choice(levels)) for i in range(n)]
+    line_specs = [
+        (f"L{i:04d}", f"B{i:03d}", f"B{rng.randrange(i):03d}", rng.choice(levels))
+        for i in range(1, n)
+    ]
+    for _ in range(rng.randint(0, n // 2)):
+        a, b = rng.sample(range(n), 2)
+        line_id = f"L{len(line_specs) + 1:04d}"
+        line_specs.append((line_id, f"B{a:03d}", f"B{b:03d}", rng.choice(levels)))
+    gen_specs = [
+        (f"G{i:03d}", f"B{i:03d}", rng.choice([0.0, 50.0]))
+        for i in range(n)
+        if rng.random() < gen_share
+    ]
+    dataset = toy_dataset(bus_specs, line_specs, gen_specs)
+    return build_grid(dataset), snapshot_for(dataset)
+
+
+def test_entry_points_match_full_scan_reference():
+    rng = random.Random(8080)
+    seen = {"uniform": 0, "mixed": 0, "generation": 0, "no_generation": 0, "fallback": 0}
+    for _ in range(40):
+        grid, snap = _oracle_case(rng)
+        partial = apply_heuristics(grid, snap)
+        # A snapshot other than the partial's must be the one that is read.
+        other = GenerationSnapshot(
+            outputs=MappingProxyType({g: rng.choice([0.0, 5.0]) for g in snap.outputs}),
+            mode="max",
+        )
+        for sub in residual_subgraphs(grid, partial):
+            for snapshot in (snap, other):
+                expected = _reference_entry_points(sub, grid, snapshot, partial)
+                assert entry_points(sub, grid, snapshot, partial) == expected
+                generating = any(snapshot.bus_output(grid, b) > 0.0 for b in sub.buses)
+                seen["generation" if generating else "no_generation"] += 1
+                seen["fallback"] += expected[1]
+            classes = {grid.bus_class(b) for b in sub.buses}
+            seen["uniform" if len(classes) == 1 else "mixed"] += 1
+    assert all(count > 0 for count in seen.values()), seen
+
+
+def test_orient_all_matches_full_scan_reference(monkeypatch):
+    import gridtopo.direction as direction_module
+
+    rng = random.Random(9090)
+    cases = [(_oracle_case(rng), rng.randrange(10_000)) for _ in range(15)]
+    linear = [orient_all(grid, snap, seed) for (grid, snap), seed in cases]
+    monkeypatch.setattr(direction_module, "entry_points", _reference_entry_points)
+    for ((grid, snap), seed), got in zip(cases, linear):
+        want = orient_all(grid, snap, seed)
+        assert dict(got.directions) == dict(want.directions)
+        assert dict(got.provenance) == dict(want.provenance)
+        assert (got.conflicts, got.warnings) == (want.conflicts, want.warnings)

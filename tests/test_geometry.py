@@ -2,8 +2,10 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gridtopo.geometry import PlanarPoint, PlanarPolygon, point_in_polygon
+from gridtopo.geometry import PlanarPoint, PlanarPolygon, point_in_polygon, point_on_boundary
 
 P = PlanarPoint
 
@@ -101,3 +103,118 @@ def test_matches_winding_oracle_on_random_simple_polygons():
             assert point_in_polygon(p, poly) == _winding_inside(p, ring)
             checked += 1
     assert checked >= 950
+
+
+# --- bounding-box prefilter against the unfiltered ray cast -------------------
+
+def _reference_on_segment(p, a, b):
+    cross = (b.x - a.x) * (p.y - a.y) - (b.y - a.y) * (p.x - a.x)
+    if cross != 0.0:
+        return False
+    return min(a.x, b.x) <= p.x <= max(a.x, b.x) and min(a.y, b.y) <= p.y <= max(a.y, b.y)
+
+
+def _reference_ray_cast(p, poly):
+    """The even-odd walk over every edge, without the bounding-box test."""
+    inside = False
+    for a, b in poly.edges():
+        if _reference_on_segment(p, a, b):
+            return True
+        if (a.y > p.y) != (b.y > p.y):
+            x_cross = a.x + (p.y - a.y) * (b.x - a.x) / (b.y - a.y)
+            if p.x < x_cross:
+                inside = not inside
+    return inside
+
+
+def _strictly_outside_bbox(p, poly):
+    min_x, min_y, max_x, max_y = poly.bbox
+    return p.x < min_x or p.x > max_x or p.y < min_y or p.y > max_y
+
+
+@st.composite
+def _star_polygons(draw):
+    """Star-shaped ring around a centre, optionally with a star-shaped hole."""
+    coord = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+    cx, cy = draw(coord), draw(coord)
+    n = draw(st.integers(3, 12))
+    jitter = draw(st.lists(st.floats(0.0, 0.9), min_size=n, max_size=n))
+    radii = draw(st.lists(st.floats(0.5, 50.0), min_size=n, max_size=n))
+    angles = [2 * math.pi * (k + j) / n for k, j in enumerate(jitter)]
+
+    def ring(scale):
+        return tuple(
+            P(cx + scale * r * math.cos(t), cy + scale * r * math.sin(t))
+            for t, r in zip(angles, radii)
+        )
+
+    rings = [ring(1.0)]
+    if draw(st.booleans()):
+        rings.append(ring(0.5 * min(radii) / max(radii)))
+    return PlanarPolygon(tuple(rings))
+
+
+@st.composite
+def _probe_points(draw, poly):
+    """Random points, vertices, edge midpoints and points one ulp off the bbox."""
+    min_x, min_y, max_x, max_y = poly.bbox
+    vertices = [v for ring in poly.rings for v in ring]
+    kind = draw(st.sampled_from(["random", "vertex", "midpoint", "ulp_outside"]))
+    if kind == "random":
+        return P(
+            draw(st.floats(min_x - 1.0, max_x + 1.0)),
+            draw(st.floats(min_y - 1.0, max_y + 1.0)),
+        )
+    if kind == "vertex":
+        return draw(st.sampled_from(vertices))
+    if kind == "midpoint":
+        a, b = draw(st.sampled_from(list(poly.edges())))
+        return P((a.x + b.x) / 2, (a.y + b.y) / 2)
+    v = draw(st.sampled_from(vertices))
+    side = draw(st.sampled_from(["left", "right", "below", "above"]))
+    if side == "left":
+        return P(math.nextafter(min_x, -math.inf), v.y)
+    if side == "right":
+        return P(math.nextafter(max_x, math.inf), v.y)
+    if side == "below":
+        return P(v.x, math.nextafter(min_y, -math.inf))
+    return P(v.x, math.nextafter(max_y, math.inf))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_bbox_prefilter_matches_unfiltered_ray_cast(data):
+    poly = data.draw(_star_polygons())
+    for _ in range(5):
+        p = data.draw(_probe_points(poly))
+        if _strictly_outside_bbox(p, poly):
+            # every vertex, so the whole polygon, lies inside the box
+            assert not point_in_polygon(p, poly)
+        else:
+            assert point_in_polygon(p, poly) == _reference_ray_cast(p, poly)
+
+
+def test_point_left_of_bbox_is_outside_despite_crossing_rounding():
+    # x_cross of edge (0.1, 3) -> (0, 0) at y = 0 rounds to -1.4e-17, so
+    # the unfiltered walk counts the point just left of (0, 0) as inside.
+    poly = PlanarPolygon(((P(0.1, 3.0), P(0.0, 0.0), P(1.0, 0.0)),))
+    p = P(-1e-17, 0.0)
+    assert _reference_ray_cast(p, poly)
+    assert not point_in_polygon(p, poly)
+
+
+def test_bbox_is_derived_and_ignored_by_equality():
+    a = PlanarPolygon((square(0.0, 0.0, 2.0, 1.0), square(0.5, 0.25, 1.0, 0.75)))
+    b = PlanarPolygon((square(0.0, 0.0, 2.0, 1.0), square(0.5, 0.25, 1.0, 0.75)))
+    assert a.bbox == (0.0, 0.0, 2.0, 1.0)
+    assert a == b and hash(a) == hash(b)
+    assert "bbox" not in repr(a)
+
+
+def test_point_on_boundary():
+    poly = PlanarPolygon((square(), square(0.25, 0.25, 0.75, 0.75)))
+    assert point_on_boundary(P(1.0, 0.5), poly)
+    assert point_on_boundary(P(0.0, 0.0), poly)
+    assert point_on_boundary(P(0.25, 0.5), poly)  # hole edge
+    assert not point_on_boundary(P(0.1, 0.5), poly)
+    assert not point_on_boundary(P(2.0, 0.5), poly)

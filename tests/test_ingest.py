@@ -257,6 +257,51 @@ def test_assign_regions_rejects_overlap():
         assign_regions([_bus("S1", 7, 7)], areas, [])
 
 
+# Unit squares A (0..1) and B (1..2) share the edge x = 1; C (0..1 above A)
+# shares A's top edge, so (1, 1) is a vertex of all three.
+SHARED_BORDER_AREAS = [
+    PlanningArea("B", "B", rect(1, 0, 2, 1)),
+    PlanningArea("A", "A", rect(0, 0, 1, 1)),
+    PlanningArea("C", "C", rect(0, 1, 1, 2)),
+]
+
+
+@pytest.mark.parametrize(
+    "x, y, expected",
+    [(1.0, 0.5, "A"), (1.0, 1.0, "A"), (0.5, 1.0, "A"), (1.5, 0.5, "B")],
+    ids=["shared-edge", "shared-vertex", "other-shared-edge", "interior"],
+)
+def test_assign_regions_shared_border_goes_to_lowest_area_id(x, y, expected):
+    (bus,) = assign_regions([_bus("S1", x, y)], SHARED_BORDER_AREAS, [])
+    assert bus.planning_area_id == expected
+
+
+@pytest.mark.parametrize(
+    "x, y, expected",
+    [(1.0, 0.5, "A"), (1.0, 1.0, "A"), (1.5, 1.0, "B")],
+    ids=["shared-edge", "shared-vertex", "own-edge"],
+)
+def test_population_on_shared_border_goes_to_lowest_area_id(x, y, expected):
+    dataset = build_dataset(
+        buses=[_bus("S1", 0.5, 0.5)],
+        lines=[],
+        planning_areas=SHARED_BORDER_AREAS,
+        population_points=[PopulationPoint("C1", P(x, y), 70)],
+    )
+    population = {area.id: area.population for area in dataset.planning_areas}
+    assert population == {area: 70 if area == expected else 0 for area in "ABC"}
+
+
+def test_assign_regions_strict_interior_beats_boundary():
+    # (1, 0.5) lies on A's left edge but strictly inside the wider B.
+    areas = [
+        PlanningArea("A", "A", rect(1, 0, 3, 1)),
+        PlanningArea("B", "B", rect(0, 0, 2, 1)),
+    ]
+    (bus,) = assign_regions([_bus("S1", 1.0, 0.5)], areas, [])
+    assert bus.planning_area_id == "B"
+
+
 def test_assign_regions_is_order_independent():
     areas = [PlanningArea("A1", "A1", rect(0, 0, 10, 10))]
     cities = [CityPolygon("C1", "C1", rect(0, 0, 4, 4))]
