@@ -35,7 +35,7 @@ from .dispatch import (
     write_solution_files,
 )
 from .graph import build_grid
-from .ingest import IngestError, load_dataset, parse_hourly_loads, validate_dataset
+from .ingest import IngestError, load_dataset, parse_hourly_loads, validate_dataset, write_text
 from .render import DEFAULT_STYLE, geojson_text, render_dot, render_geojson, render_svg
 
 __all__ = ["cli_main", "main"]
@@ -122,11 +122,6 @@ def _orientation_for(args, dataset):
     return grid, snapshot, orientation
 
 
-def _emit(text: str, path: Path) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
-
-
 def _cmd_fetch(args) -> str:
     # Imported here: urllib and ssl are slow to import and no other command needs them.
     from .fetch import FetchError, fetch_dataset
@@ -155,9 +150,7 @@ def _cmd_validate(args) -> str:
 def _cmd_orient(args) -> str:
     dataset = load_dataset(args.data_dir)
     grid, _snapshot, orientation = _orientation_for(args, dataset)
-    out = args.out or Path("orientation.csv")
-    out.parent.mkdir(parents=True, exist_ok=True)
-    write_orientation_csv(orientation, grid, out)
+    write_orientation_csv(orientation, grid, args.out or Path("orientation.csv"))
     for warning in orientation.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     if orientation.conflicts:
@@ -189,9 +182,7 @@ def _yearly_loads(data_dir: Path, dataset):
 def _cmd_similarity(args) -> str:
     dataset = load_dataset(args.data_dir)
     rows = similarity_report(dataset, _yearly_loads(args.data_dir, dataset))
-    out = args.out or Path("similarity.csv")
-    out.parent.mkdir(parents=True, exist_ok=True)
-    write_similarity_csv(rows, out)
+    write_similarity_csv(rows, args.out or Path("similarity.csv"))
     for row in rows:
         print(f"{row.year}: cosine={row.cosine:.4f} pearson={row.pearson:.4f}")
     return _summary(lines=len(dataset.lines))
@@ -200,9 +191,7 @@ def _cmd_similarity(args) -> str:
 def _cmd_demand_index(args) -> str:
     dataset = load_dataset(args.data_dir)
     index = allocate_demand_index(dataset, args.urban_share)
-    out = args.out or Path("demand_index.csv")
-    out.parent.mkdir(parents=True, exist_ok=True)
-    write_demand_index_csv(index, out)
+    write_demand_index_csv(index, args.out or Path("demand_index.csv"))
     for flag in index.flags:
         print(f"warning: {flag}", file=sys.stderr)
     return _summary(lines=len(dataset.lines))
@@ -251,7 +240,7 @@ def _cmd_render(args) -> str:
         text = render_svg(grid, orientation, solution, DEFAULT_STYLE)
     else:
         text = render_dot(grid, orientation)
-    _emit(text, args.out or Path(f"render.{args.fmt}"))
+    write_text(args.out or Path(f"render.{args.fmt}"), text)
     return _summary(
         objective=None if solution is None else solution.objective,
         max_residual=None if solution is None else solution.max_residual,

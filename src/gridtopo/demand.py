@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
-from .ingest import GridDataset
+from .ingest import GridDataset, write_csv
 
 __all__ = [
     "DEFAULT_URBAN_SHARE",
@@ -177,20 +177,16 @@ def allocate_demand_index(
 
 
 def write_demand_index_csv(index: DemandIndex, path) -> None:
-    import csv
-
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("bus_id", "rdi"))
-        for bus_id in sorted(index.values):
-            writer.writerow((bus_id, repr(index.values[bus_id])))
+    write_csv(
+        path,
+        ("bus_id", "rdi"),
+        ((bus_id, repr(index.values[bus_id])) for bus_id in sorted(index.values)),
+    )
 
 
 def write_similarity_csv(rows: Sequence[SimilarityRow], path) -> None:
-    import csv
-
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("year", "cosine", "pearson"))
-        for row in rows:
-            writer.writerow((row.year, repr(row.cosine), repr(row.pearson)))
+    write_csv(
+        path,
+        ("year", "cosine", "pearson"),
+        ((row.year, repr(row.cosine), repr(row.pearson)) for row in rows),
+    )

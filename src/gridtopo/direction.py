@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING, Mapping
 
 from . import rng
 from .graph import Grid
-from .ingest import LineRecord
+from .ingest import LineRecord, _read_rows, write_csv
 
 if TYPE_CHECKING:
     from .dispatch import GenerationSnapshot
@@ -345,33 +345,27 @@ def orient_all(
 # ---------------------------------------------------------------------------
 # CSV export / import
 
-def write_orientation_csv(orientation: Orientation, grid: Grid, path) -> None:
-    import csv
+_ORIENTATION_COLUMNS = ("line_id", "from_bus", "to_bus", "provenance")
 
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("line_id", "from_bus", "to_bus", "provenance"))
-        for line_id in sorted(orientation.directions):
-            frm, to = orientation.from_to(grid.lines[line_id])
-            writer.writerow((line_id, frm, to, orientation.provenance[line_id].value))
+
+def write_orientation_csv(orientation: Orientation, grid: Grid, path) -> None:
+    rows = (
+        (line_id, *orientation.from_to(grid.lines[line_id]), orientation.provenance[line_id].value)
+        for line_id in sorted(orientation.directions)
+    )
+    write_csv(path, _ORIENTATION_COLUMNS, rows)
 
 
 def read_orientation_csv(path) -> tuple[dict[str, tuple[str, str]], dict[str, str]]:
-    """Read an orientation export; returns (line -> (from, to), line -> provenance)."""
-    import csv
+    """Read an orientation export; returns (line -> (from, to), line -> provenance).
 
+    The header must be ``line_id,from_bus,to_bus,provenance`` in that
+    order. A malformed header, a row with the wrong number of fields or
+    a repeated ``line_id`` raises an IngestError naming the file and row.
+    """
     endpoints: dict[str, tuple[str, str]] = {}
     provenance: dict[str, str] = {}
-    try:
-        fh = open(path, newline="", encoding="utf-8-sig")
-    except OSError as exc:
-        raise ValueError(f"cannot read orientation file {path}: {exc}") from exc
-    with fh:
-        reader = csv.DictReader(fh)
-        expected = {"line_id", "from_bus", "to_bus", "provenance"}
-        if reader.fieldnames is None or set(reader.fieldnames) != expected:
-            raise ValueError(f"{path}: expected header line_id,from_bus,to_bus,provenance")
-        for row in reader:
-            endpoints[row["line_id"]] = (row["from_bus"], row["to_bus"])
-            provenance[row["line_id"]] = row["provenance"]
+    for _row_no, row in _read_rows(path, _ORIENTATION_COLUMNS, key="line_id", kind="line"):
+        endpoints[row["line_id"]] = (row["from_bus"], row["to_bus"])
+        provenance[row["line_id"]] = row["provenance"]
     return endpoints, provenance

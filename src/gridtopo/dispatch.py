@@ -39,7 +39,7 @@ from typing import Mapping
 from .demand import DemandIndex
 from .direction import Orientation
 from .graph import Grid
-from .ingest import GridDataset, parse_snapshot_outputs
+from .ingest import GridDataset, parse_snapshot_outputs, write_csv, write_text
 
 __all__ = [
     "MODE_MAX_CAPACITY",
@@ -348,35 +348,32 @@ def write_solution_files(
     out_dir,
 ) -> dict[str, Path]:
     """Write flows.csv, buses.csv, and summary.txt under ``out_dir``."""
-    import csv
-
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    flows_path = out_dir / "flows.csv"
-    buses_path = out_dir / "buses.csv"
-    summary_path = out_dir / "summary.txt"
-
-    with open(flows_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("line_id", "from_bus", "to_bus", "flow_mw"))
-        for line_id in sorted(solution.flows):
-            frm, to = orientation.from_to(grid.lines[line_id])
-            writer.writerow((line_id, frm, to, repr(solution.flows[line_id])))
-
-    with open(buses_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("bus_id", "injection_mw", "load_mw", "epsilon_mw"))
-        for bus in sorted(solution.injections):
-            writer.writerow(
-                (
-                    bus,
-                    repr(solution.injections[bus]),
-                    repr(solution.loads.get(bus, 0.0)),
-                    repr(solution.mismatch[bus]),
-                )
+    paths = {
+        "flows": out_dir / "flows.csv",
+        "buses": out_dir / "buses.csv",
+        "summary": out_dir / "summary.txt",
+    }
+    flows = (
+        (line_id, *orientation.from_to(grid.lines[line_id]), repr(solution.flows[line_id]))
+        for line_id in sorted(solution.flows)
+    )
+    write_csv(paths["flows"], ("line_id", "from_bus", "to_bus", "flow_mw"), flows)
+    write_csv(
+        paths["buses"],
+        ("bus_id", "injection_mw", "load_mw", "epsilon_mw"),
+        (
+            (
+                bus,
+                repr(solution.injections[bus]),
+                repr(solution.loads.get(bus, 0.0)),
+                repr(solution.mismatch[bus]),
             )
-
-    summary_path.write_text(
+            for bus in sorted(solution.injections)
+        ),
+    )
+    write_text(
+        paths["summary"],
         "\n".join(
             [
                 f"objective_mw = {repr(solution.objective)}",
@@ -388,6 +385,5 @@ def write_solution_files(
                 "",
             ]
         ),
-        encoding="utf-8",
     )
-    return {"flows": flows_path, "buses": buses_path, "summary": summary_path}
+    return paths

@@ -43,7 +43,6 @@ class Grid:
     (neighbor, line id); every line appears exactly once per endpoint.
     """
 
-    dataset: GridDataset
     buses: Mapping[str, BusRecord]
     lines: Mapping[str, LineRecord]
     adjacency: Mapping[str, tuple[tuple[str, str], ...]]
@@ -78,7 +77,6 @@ def build_grid(dataset: GridDataset) -> Grid:
     for gen in dataset.generators:
         gens.setdefault(gen.bus_id, []).append(gen)
     return Grid(
-        dataset=dataset,
         buses=MappingProxyType({b: buses[b] for b in sorted(buses)}),
         lines=MappingProxyType({l: lines[l] for l in sorted(lines)}),
         adjacency=MappingProxyType(

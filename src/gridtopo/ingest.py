@@ -1,5 +1,8 @@
 """CSV ingestion of the open-data file family into a validated GridDataset.
 
+This module is the package's only CSV reader and writer; other modules
+write their outputs through :func:`write_csv` and :func:`write_text`.
+
 File schemas (UTF-8, comma-delimited, header row required, ``.`` decimal
 separator):
 
@@ -29,7 +32,6 @@ import re
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .geometry import PlanarPoint, PlanarPolygon, point_in_polygon, point_on_boundary
@@ -65,6 +67,8 @@ __all__ = [
     "serialize_lines",
     "serialize_generators",
     "serialize_hourly_loads",
+    "write_csv",
+    "write_text",
     "assign_regions",
     "build_dataset",
     "validate_dataset",
@@ -210,28 +214,28 @@ class GridDataset:
     city_polygons: tuple[CityPolygon, ...]
     provenance: DatasetProvenance = DatasetProvenance()
 
-    def bus_index(self) -> Mapping[str, BusRecord]:
-        return MappingProxyType({b.id: b for b in self.buses})
-
-    def area_index(self) -> Mapping[str, PlanningArea]:
-        return MappingProxyType({a.id: a for a in self.planning_areas})
-
 
 # ---------------------------------------------------------------------------
 # Low-level CSV helpers
 
-def _read_rows(path, required: Sequence[str], optional: Sequence[str] = ()):
+def _read_rows(
+    path, required: Sequence[str], optional: Sequence[str] = (), *, key=None, kind=""
+):
     """Yield (row_number, {column: raw}) after validating the header.
 
     The header must list the required columns in order, optionally
-    followed (in order) by a prefix-free subset of the optional ones.
-    Row numbers are physical 1-based file lines (header is row 1).
-    A leading BOM (common in spreadsheet exports) is tolerated.
+    followed (in order) by a prefix-free subset of the optional ones,
+    and every row must have as many fields. Row numbers are physical
+    1-based file lines (header is row 1). A leading BOM (common in
+    spreadsheet exports) is tolerated. The ``key`` column, if given, is
+    stripped and must be non-empty and unique: a repeat raises
+    DuplicateId naming the ``kind`` of record.
     """
     try:
         fh = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise IngestError(f"cannot read {path}: {exc}") from exc
+    seen: set[str] = set()
     with fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -261,7 +265,15 @@ def _read_rows(path, required: Sequence[str], optional: Sequence[str] = ()):
                     path=path,
                     row=lineno,
                 )
-            yield lineno, dict(zip(header, row))
+            record = dict(zip(header, row))
+            if key is not None:
+                record_id = record[key] = _require_id(record[key], key, path=path, row=lineno)
+                if record_id in seen:
+                    raise DuplicateId(
+                        f"duplicate {kind} id {record_id}", path=path, row=lineno
+                    )
+                seen.add(record_id)
+            yield lineno, record
 
 
 def _float(raw: str, column: str, *, path, row, cls=NonNumericValue) -> float:
@@ -322,13 +334,10 @@ def format_wkt_linestring(points: Iterable[PlanarPoint]) -> str:
 
 def parse_buses(path) -> list[BusRecord]:
     """Parse Substation.csv. Duplicate ids abort with the row number."""
-    seen: set[str] = set()
     records = []
-    for row_no, row in _read_rows(path, ("id", "name", "x", "y", "voltage_kv")):
-        bus_id = _require_id(row["id"], "id", path=path, row=row_no)
-        if bus_id in seen:
-            raise DuplicateId(f"duplicate bus id {bus_id}", path=path, row=row_no)
-        seen.add(bus_id)
+    for row_no, row in _read_rows(
+        path, ("id", "name", "x", "y", "voltage_kv"), key="id", kind="bus"
+    ):
         kv = _float(
             row["voltage_kv"], "voltage_kv", path=path, row=row_no,
             cls=NonNumericVoltage,
@@ -339,20 +348,16 @@ def parse_buses(path) -> list[BusRecord]:
             _float(row["x"], "x", path=path, row=row_no),
             _float(row["y"], "y", path=path, row=row_no),
         )
-        records.append(BusRecord(bus_id, row["name"], location, kv))
+        records.append(BusRecord(row["id"], row["name"], location, kv))
     return records
 
 
 def parse_lines(path) -> list[LineRecord]:
-    seen: set[str] = set()
     records = []
     for row_no, row in _read_rows(
-        path, ("id", "bus_a", "bus_b", "voltage_kv"), optional=("wkt_geometry",)
+        path, ("id", "bus_a", "bus_b", "voltage_kv"), ("wkt_geometry",), key="id", kind="line"
     ):
-        line_id = _require_id(row["id"], "id", path=path, row=row_no)
-        if line_id in seen:
-            raise DuplicateId(f"duplicate line id {line_id}", path=path, row=row_no)
-        seen.add(line_id)
+        line_id = row["id"]
         bus_a = _require_id(row["bus_a"], "bus_a", path=path, row=row_no)
         bus_b = _require_id(row["bus_b"], "bus_b", path=path, row=row_no)
         if bus_a == bus_b:
@@ -377,22 +382,17 @@ def parse_lines(path) -> list[LineRecord]:
 
 
 def parse_generators(path) -> list[GeneratorRecord]:
-    seen: set[str] = set()
     records = []
     for row_no, row in _read_rows(
-        path, ("id", "bus_id", "max_capacity_mw", "fuel_type")
+        path, ("id", "bus_id", "max_capacity_mw", "fuel_type"), key="id", kind="generator"
     ):
-        gen_id = _require_id(row["id"], "id", path=path, row=row_no)
-        if gen_id in seen:
-            raise DuplicateId(f"duplicate generator id {gen_id}", path=path, row=row_no)
-        seen.add(gen_id)
         cap = _float(row["max_capacity_mw"], "max_capacity_mw", path=path, row=row_no)
         if cap < 0:
             raise InvalidValue(
                 f"max_capacity_mw must be >= 0, got {cap}", path=path, row=row_no
             )
         bus_id = _require_id(row["bus_id"], "bus_id", path=path, row=row_no)
-        records.append(GeneratorRecord(gen_id, bus_id, cap, row["fuel_type"]))
+        records.append(GeneratorRecord(row["id"], bus_id, cap, row["fuel_type"]))
     return records
 
 
@@ -480,45 +480,65 @@ def parse_population_points(path) -> list[PopulationPoint]:
 
 
 def parse_hourly_loads(path) -> list[AreaLoad]:
-    seen: set[str] = set()
     records = []
-    for row_no, row in _read_rows(path, ("area_id", "name", "avg_hourly_load_mw")):
-        area_id = _require_id(row["area_id"], "area_id", path=path, row=row_no)
-        if area_id in seen:
-            raise DuplicateId(f"duplicate area id {area_id}", path=path, row=row_no)
-        seen.add(area_id)
+    for row_no, row in _read_rows(
+        path, ("area_id", "name", "avg_hourly_load_mw"), key="area_id", kind="area"
+    ):
         load = _float(row["avg_hourly_load_mw"], "avg_hourly_load_mw", path=path, row=row_no)
         if load < 0:
             raise InvalidValue(
                 f"avg_hourly_load_mw must be >= 0, got {load}", path=path, row=row_no
             )
-        records.append(AreaLoad(area_id, row["name"], load))
+        records.append(AreaLoad(row["area_id"], row["name"], load))
     return records
 
 
 def parse_snapshot_outputs(path) -> dict[str, float]:
     """Parse Snapshot.csv into generator id -> output (MW)."""
     outputs: dict[str, float] = {}
-    for row_no, row in _read_rows(path, ("generator_id", "output_mw")):
-        gen_id = _require_id(row["generator_id"], "generator_id", path=path, row=row_no)
-        if gen_id in outputs:
-            raise DuplicateId(f"duplicate generator id {gen_id}", path=path, row=row_no)
+    for row_no, row in _read_rows(
+        path, ("generator_id", "output_mw"), key="generator_id", kind="generator"
+    ):
         value = _float(row["output_mw"], "output_mw", path=path, row=row_no)
         if value < 0:
             raise InvalidValue(f"output_mw must be >= 0, got {value}", path=path, row=row_no)
-        outputs[gen_id] = value
+        outputs[row["generator_id"]] = value
     return outputs
 
 
 # ---------------------------------------------------------------------------
-# Serializers (canonical form; parse -> serialize normalizes a file)
+# Serializers (canonical form; parse -> serialize normalizes a file) and writers
+
+def _write_rows(fh, header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+
 
 def _write_csv(header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
     out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+    _write_rows(out, header, rows)
     return out.getvalue()
+
+
+def _open_output(path):
+    """Open ``path`` for writing as UTF-8 without newline translation,
+    creating its parent directory."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return open(path, "w", newline="", encoding="utf-8")
+
+
+def write_text(path, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8, line ends as ``text`` holds them."""
+    with _open_output(path) as fh:
+        fh.write(text)
+
+
+def write_csv(path, header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
+    """Stream a header and rows to ``path`` as CSV with ``\\n`` line ends."""
+    with _open_output(path) as fh:
+        _write_rows(fh, header, rows)
 
 
 def serialize_buses(records: Iterable[BusRecord]) -> str:

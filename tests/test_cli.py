@@ -190,6 +190,27 @@ def test_diff_between_scenarios(capsys, tmp_path):
     assert summary_line(out)["changed"] == "0"
 
 
+@pytest.mark.parametrize(
+    "body, row, message",
+    [
+        ("L1,A,B,BfsTree\nL1,B,A,BfsTree\n", 3, "duplicate line id L1"),
+        ("L1,A\n", 2, "expected 4 fields, found 2"),
+        ("L1,A,B,BfsTree,extra\n", 2, "expected 4 fields, found 5"),
+    ],
+    ids=["duplicate-line-id", "short-row", "extra-field"],
+)
+def test_diff_rejects_malformed_orientation(capsys, tmp_path, body, row, message):
+    header = "line_id,from_bus,to_bus,provenance\n"
+    good = tmp_path / "good.csv"
+    good.write_text(header + "L1,B,A,BfsTree\n", encoding="utf-8")
+    bad = tmp_path / "bad.csv"
+    bad.write_text(header + body, encoding="utf-8")
+    code, out, err = run(capsys, "diff", str(good), str(bad))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {bad}: row {row}: {message}\n"
+
+
 def test_similarity_rows_per_year(capsys, tmp_path):
     out = tmp_path / "similarity.csv"
     code, stdout, _err = run(

@@ -16,9 +16,15 @@ from gridtopo.direction import (
 )
 from gridtopo.dispatch import GenerationSnapshot, make_snapshot
 from gridtopo.graph import build_grid
-from gridtopo.ingest import load_dataset
+from gridtopo.ingest import (
+    DuplicateId,
+    InvalidValue,
+    UnexpectedColumn,
+    build_dataset,
+    load_dataset,
+)
 
-from helpers import FIXTURES, random_connected_dataset, toy_dataset
+from helpers import FIXTURES, planar_lattice_records, random_connected_dataset, toy_dataset
 
 
 def snapshot_for(dataset):
@@ -349,16 +355,47 @@ def test_residual_reachability_from_entries():
 # --- CSV round trip ---------------------------------------------------------------
 
 def test_orientation_csv_round_trip(tmp_path):
-    dataset = load_dataset(FIXTURES / "diamond")
-    grid = build_grid(dataset)
-    orientation = orient_all(grid, make_snapshot(dataset, "max"), seed=42)
+    """The diamond fixture plus seeded 50-500-bus lattice grids."""
+    rng = random.Random(5150)
+    datasets = [load_dataset(FIXTURES / "diamond")]
+    for _ in range(8):
+        rows = rng.randint(8, 22)
+        cols = rng.randint(max(8, -(-50 // rows)), 500 // rows)
+        datasets.append(build_dataset(**planar_lattice_records(rng, rows, cols)))
+    kinds = set()
+    for n, dataset in enumerate(datasets):
+        grid = build_grid(dataset)
+        orientation = orient_all(grid, make_snapshot(dataset, "max"), seed=42 + n)
+        path = tmp_path / f"grid{n}" / "orientation.csv"
+        write_orientation_csv(orientation, grid, path)
+        endpoints, provenance = read_orientation_csv(path)
+        assert endpoints == orientation.endpoint_map(grid)
+        assert provenance == {
+            line_id: p.value for line_id, p in orientation.provenance.items()
+        }
+        kinds.update(orientation.provenance.values())
+    assert kinds == set(Provenance)
+
+
+_ORIENTATION_HEADER = "line_id,from_bus,to_bus,provenance\n"
+
+
+@pytest.mark.parametrize(
+    "text, error, row",
+    [
+        (_ORIENTATION_HEADER + "L1,A,B,BfsTree\nL1,B,A,BfsTree\n", DuplicateId, 3),
+        (_ORIENTATION_HEADER + "L1,A\n", InvalidValue, 2),
+        (_ORIENTATION_HEADER + "L1,A,B,BfsTree,extra\n", InvalidValue, 2),
+        ("line_id,to_bus,from_bus,provenance\nL1,A,B,BfsTree\n", UnexpectedColumn, 1),
+    ],
+    ids=["duplicate-line-id", "short-row", "extra-field", "reordered-header"],
+)
+def test_read_orientation_csv_rejects_malformed_file(tmp_path, text, error, row):
     path = tmp_path / "orientation.csv"
-    write_orientation_csv(orientation, grid, path)
-    endpoints, provenance = read_orientation_csv(path)
-    assert endpoints == orientation.endpoint_map(grid)
-    assert provenance == {
-        line_id: p.value for line_id, p in orientation.provenance.items()
-    }
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(error) as err:
+        read_orientation_csv(path)
+    assert (err.value.path, err.value.row) == (path, row)
 
 
 # --- linear entry points against the full-scan definition -------------------------

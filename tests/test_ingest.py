@@ -1,6 +1,10 @@
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridtopo.geometry import PlanarPoint, PlanarPolygon
 from gridtopo.ingest import (
@@ -41,6 +45,7 @@ from gridtopo.ingest import (
     serialize_population_points,
     serialize_snapshot_outputs,
     validate_dataset,
+    write_text,
 )
 
 from helpers import FIXTURES, FIXTURE_NAMES
@@ -80,6 +85,39 @@ def test_parse_buses_duplicate_id_names_row(tmp_path):
     with pytest.raises(DuplicateId) as err:
         parse_buses(path)
     assert err.value.row == 3
+
+
+@pytest.mark.parametrize(
+    "parse, name, text, message",
+    [
+        (
+            parse_lines, "Line.csv",
+            "id,bus_a,bus_b,voltage_kv\nL1,S1,S2,240\n L1 ,S2,S3,240\n",
+            "duplicate line id L1",
+        ),
+        (
+            parse_generators, "Generator.csv",
+            "id,bus_id,max_capacity_mw,fuel_type\nG1,S1,1,GAS\nG1,S2,2,GAS\n",
+            "duplicate generator id G1",
+        ),
+        (
+            parse_hourly_loads, "HourlyLoad.csv",
+            "area_id,name,avg_hourly_load_mw\n60,A,1\n60,B,2\n",
+            "duplicate area id 60",
+        ),
+        (
+            parse_snapshot_outputs, "Snapshot.csv",
+            "generator_id,output_mw\nG1,1\nG1,2\n",
+            "duplicate generator id G1",
+        ),
+    ],
+    ids=["lines", "generators", "hourly-loads", "snapshot"],
+)
+def test_keyed_parsers_reject_duplicate_id_with_row(tmp_path, parse, name, text, message):
+    path = write(tmp_path, name, text)
+    with pytest.raises(DuplicateId) as err:
+        parse(path)
+    assert str(err.value) == f"{path}: row 3: {message}"
 
 
 def test_parse_buses_missing_column(tmp_path):
@@ -376,6 +414,88 @@ def test_serialize_parse_round_trip(fixture):
         normalized = serialize(parse(path))
         assert normalized == path.read_text(encoding="utf-8"), path
         # normalization is idempotent by construction of the fixtures
+
+
+_TEXT = st.text(alphabet='ab Z09,"\';-\u00e9', max_size=8)
+_IDS = _TEXT.map(str.strip).filter(bool)
+_NONNEG = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
+_POINTS = st.builds(
+    P,
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+_POLYGONS = st.lists(
+    st.lists(_POINTS, min_size=3, max_size=5, unique=True), min_size=1, max_size=2
+).map(lambda rings: PlanarPolygon(tuple(tuple(r) for r in rings)))
+
+
+def _records(record, unique=True):
+    return st.lists(record, max_size=5, unique_by=(lambda r: r.id) if unique else None)
+
+
+_GENERATED = {
+    "buses": (
+        parse_buses, serialize_buses,
+        _records(st.builds(
+            BusRecord, _IDS, _TEXT, _POINTS,
+            st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+        )),
+    ),
+    "lines": (
+        parse_lines, serialize_lines,
+        _records(st.builds(
+            LineRecord, _IDS, _IDS, _IDS,
+            st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+            st.none() | st.lists(_POINTS, min_size=2, max_size=4).map(tuple),
+        ).filter(lambda line: line.endpoint_a != line.endpoint_b)),
+    ),
+    "generators": (
+        parse_generators, serialize_generators,
+        _records(st.builds(GeneratorRecord, _IDS, _IDS, _NONNEG, _TEXT)),
+    ),
+    "planning-areas": (
+        parse_planning_area_polygons, serialize_planning_area_polygons,
+        _records(st.builds(PlanningArea, _IDS, _TEXT, _POLYGONS)),
+    ),
+    "cities": (
+        parse_city_polygons, serialize_city_polygons,
+        _records(st.builds(CityPolygon, _IDS, _TEXT, _POLYGONS)),
+    ),
+    "population": (
+        parse_population_points, serialize_population_points,
+        _records(
+            st.builds(PopulationPoint, _IDS, _POINTS, st.integers(0, 10**9)), unique=False
+        ),
+    ),
+    "hourly-loads": (
+        parse_hourly_loads, serialize_hourly_loads,
+        st.lists(st.builds(AreaLoad, _IDS, _TEXT, _NONNEG), max_size=5, unique_by=lambda a: a.area_id),
+    ),
+    "snapshot": (
+        parse_snapshot_outputs, serialize_snapshot_outputs,
+        st.dictionaries(_IDS, _NONNEG, max_size=5),
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_GENERATED))
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_generated_records_round_trip(kind, data):
+    """serialize -> write_text -> parse returns the records, and
+    serializing them again gives the same text, so parse -> serialize ->
+    parse is the identity. Text fields hold commas, quotes and
+    non-ASCII; the file may start with a BOM."""
+    parse, serialize, strategy = _GENERATED[kind]
+    records = data.draw(strategy)
+    text = serialize(records)
+    bom = "\ufeff" if data.draw(st.booleans()) else ""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "file.csv"
+        write_text(path, bom + text)
+        parsed = parse(path)
+    assert parsed == records
+    assert serialize(parsed) == text
 
 
 def test_load_dataset_missing_file(tmp_path):
