@@ -35,7 +35,14 @@ from .dispatch import (
     write_solution_files,
 )
 from .graph import build_grid
-from .ingest import IngestError, load_dataset, parse_hourly_loads, validate_dataset, write_text
+from .ingest import (
+    DanglingReference,
+    IngestError,
+    load_dataset,
+    parse_hourly_loads,
+    validate_dataset,
+    write_text,
+)
 from .render import DEFAULT_STYLE, geojson_text, render_dot, render_geojson, render_svg
 
 __all__ = ["cli_main", "main"]
@@ -162,18 +169,17 @@ def _cmd_orient(args) -> str:
 
 
 def _yearly_loads(data_dir: Path, dataset):
+    area_ids = {a.id for a in dataset.planning_areas}
     yearly = {}
     for path in sorted(data_dir.glob("HourlyLoad_*.csv")):
-        year = path.stem.split("_", 1)[1]
-        area_ids = {a.id for a in dataset.planning_areas}
         loads = {}
         for row in parse_hourly_loads(path):
             if row.area_id not in area_ids:
-                raise IngestError(
-                    f"{path.name} references unknown planning area {row.area_id}"
+                raise DanglingReference(
+                    f"hourly load references unknown planning area {row.area_id}", path=path
                 )
             loads[row.area_id] = row.avg_hourly_load_mw
-        yearly[year] = loads
+        yearly[path.stem.split("_", 1)[1]] = loads
     if not yearly:
         yearly["all"] = {a.id: a.avg_hourly_load_mw for a in dataset.planning_areas}
     return yearly

@@ -363,9 +363,6 @@ def read_orientation_csv(path) -> tuple[dict[str, tuple[str, str]], dict[str, st
     order. A malformed header, a row with the wrong number of fields or
     a repeated ``line_id`` raises an IngestError naming the file and row.
     """
-    endpoints: dict[str, tuple[str, str]] = {}
-    provenance: dict[str, str] = {}
-    for _row_no, row in _read_rows(path, _ORIENTATION_COLUMNS, key="line_id", kind="line"):
-        endpoints[row["line_id"]] = (row["from_bus"], row["to_bus"])
-        provenance[row["line_id"]] = row["provenance"]
-    return endpoints, provenance
+    rows = _read_rows(path, _ORIENTATION_COLUMNS, dict, key="line_id", kind="line")
+    endpoints = {row["line_id"]: (row["from_bus"], row["to_bus"]) for row in rows}
+    return endpoints, {row["line_id"]: row["provenance"] for row in rows}

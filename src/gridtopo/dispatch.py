@@ -288,22 +288,12 @@ def solve_flow_lp(
     bus_ids = sorted(grid.adjacency)
     line_ids = sorted(grid.lines)
     n = len(bus_ids)
-    if n == 0:
-        return FlowSolution(
-            flows=MappingProxyType({}),
-            injections=MappingProxyType({}),
-            mismatch=MappingProxyType({}),
-            loads=MappingProxyType({}),
-            objective=0.0,
-            max_residual=0.0,
-        )
-
     bus_pos = {bus: i for i, bus in enumerate(bus_ids)}
     caps = snapshot.bus_totals(grid)
     loads = [bus_load.values.get(bus, 0.0) for bus in bus_ids]
-    if min(loads) < 0.0:
+    if min(loads, default=0.0) < 0.0:
         raise ValueError("bus loads must be nonnegative")
-    if min(caps.values()) < 0.0:
+    if min(caps.values(), default=0.0) < 0.0:
         raise ValueError("generation outputs must be nonnegative")
 
     # Nodes: buses 0..n-1, source n, sink n+1. Arcs: source -> bus (cap),

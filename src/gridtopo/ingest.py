@@ -18,10 +18,13 @@ HourlyLoad.csv             ``area_id,name,avg_hourly_load_mw``
 Snapshot.csv               ``generator_id,output_mw``
 =========================  ====================================================
 
-Parsers are pure functions of file bytes and fail fast with the row
-number of the offending record. Cross-file references (line endpoints,
-generator buses, load area ids) are checked at link time in
-:func:`build_dataset`, not at parse time.
+Parsers are pure functions of file bytes and fail fast: every
+row-level error names the file and the physical row (the header is row
+1) of the offending record. Each parser is a converter from one raw row
+to one record, run by :func:`_read_rows`, which alone attaches that
+location. Cross-file references (line endpoints, generator buses, load
+area ids) are checked at link time in :func:`build_dataset`, not at
+parse time.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ import csv
 import io
 import re
 from dataclasses import dataclass, replace
-from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -193,12 +195,6 @@ class AreaLoad:
 
 
 @dataclass(frozen=True, slots=True)
-class DatasetProvenance:
-    source_files: tuple[tuple[str, str], ...] = ()
-    ingested_at: str = ""
-
-
-@dataclass(frozen=True, slots=True)
 class GridDataset:
     """Immutable canonical model of one ingested dataset.
 
@@ -212,94 +208,109 @@ class GridDataset:
     generators: tuple[GeneratorRecord, ...]
     planning_areas: tuple[PlanningArea, ...]
     city_polygons: tuple[CityPolygon, ...]
-    provenance: DatasetProvenance = DatasetProvenance()
 
 
 # ---------------------------------------------------------------------------
 # Low-level CSV helpers
 
 def _read_rows(
-    path, required: Sequence[str], optional: Sequence[str] = (), *, key=None, kind=""
-):
-    """Yield (row_number, {column: raw}) after validating the header.
+    path, required: Sequence[str], make, optional: Sequence[str] = (), *, key=None, kind=""
+) -> list:
+    """Validate the header, then return ``[make(row) for each row]``.
 
-    The header must list the required columns in order, optionally
-    followed (in order) by a prefix-free subset of the optional ones,
-    and every row must have as many fields. Row numbers are physical
-    1-based file lines (header is row 1). A leading BOM (common in
+    Each row reaches ``make`` as ``{column: raw}``. The header must list
+    the required columns in order, optionally followed (in order) by a
+    prefix-free subset of the optional ones, and every row must have as
+    many fields. Blank lines are skipped. A leading BOM (common in
     spreadsheet exports) is tolerated. The ``key`` column, if given, is
     stripped and must be non-empty and unique: a repeat raises
     DuplicateId naming the ``kind`` of record.
+
+    An IngestError raised here or by ``make`` is raised again with the
+    file and its physical 1-based row (the header is row 1), so
+    converters report only what is wrong.
     """
     try:
         fh = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise IngestError(f"cannot read {path}: {exc}") from exc
     seen: set[str] = set()
+    records = []
+    lineno = None
     with fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise MissingColumn(
-                f"empty file, expected header {','.join(required)}", path=path
-            )
-        allowed = list(required) + [c for c in optional if c in header]
-        missing = [c for c in required if c not in header]
-        if missing:
-            raise MissingColumn(
-                "missing column(s): " + ", ".join(missing), path=path, row=1
-            )
-        if header != allowed:
-            raise UnexpectedColumn(
-                f"header {','.join(header)} does not match schema "
-                f"{','.join(allowed)}",
-                path=path,
-                row=1,
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise InvalidValue(
-                    f"expected {len(header)} fields, found {len(row)}",
-                    path=path,
-                    row=lineno,
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise MissingColumn(f"empty file, expected header {','.join(required)}")
+            lineno = 1
+            allowed = list(required) + [c for c in optional if c in header]
+            missing = [c for c in required if c not in header]
+            if missing:
+                raise MissingColumn("missing column(s): " + ", ".join(missing))
+            if header != allowed:
+                raise UnexpectedColumn(
+                    f"header {','.join(header)} does not match schema {','.join(allowed)}"
                 )
-            record = dict(zip(header, row))
-            if key is not None:
-                record_id = record[key] = _require_id(record[key], key, path=path, row=lineno)
-                if record_id in seen:
-                    raise DuplicateId(
-                        f"duplicate {kind} id {record_id}", path=path, row=lineno
-                    )
-                seen.add(record_id)
-            yield lineno, record
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise InvalidValue(f"expected {len(header)} fields, found {len(row)}")
+                record = dict(zip(header, row))
+                if key is not None:
+                    record_id = record[key] = _require_id(record[key], key)
+                    if record_id in seen:
+                        raise DuplicateId(f"duplicate {kind} id {record_id}")
+                    seen.add(record_id)
+                records.append(make(record))
+        except IngestError as exc:
+            if exc.path is not None or exc.row is not None:
+                raise
+            raise type(exc)(str(exc), path=path, row=lineno) from None
+    return records
 
 
-def _float(raw: str, column: str, *, path, row, cls=NonNumericValue) -> float:
+def _float(raw: str, column: str, cls=NonNumericValue) -> float:
     try:
         value = float(raw)
     except ValueError:
-        raise cls(f"non-numeric {column}: {raw!r}", path=path, row=row) from None
+        raise cls(f"non-numeric {column}: {raw!r}") from None
     if value != value or value in (float("inf"), float("-inf")):
-        raise cls(f"non-finite {column}: {raw!r}", path=path, row=row)
+        raise cls(f"non-finite {column}: {raw!r}")
     return value
 
 
-def _int(raw: str, column: str, *, path, row) -> int:
+def _int(raw: str, column: str) -> int:
     try:
         return int(raw)
     except ValueError:
-        raise NonNumericValue(
-            f"non-integer {column}: {raw!r}", path=path, row=row
-        ) from None
+        raise NonNumericValue(f"non-integer {column}: {raw!r}") from None
 
 
-def _require_id(raw: str, column: str, *, path, row) -> str:
+def _require_id(raw: str, column: str) -> str:
     value = raw.strip()
     if not value:
-        raise InvalidValue(f"empty {column}", path=path, row=row)
+        raise InvalidValue(f"empty {column}")
     return value
+
+
+def _nonnegative(row: Mapping[str, str], column: str, parse=_float):
+    value = parse(row[column], column)
+    if value < 0:
+        raise InvalidValue(f"{column} must be >= 0, got {value}")
+    return value
+
+
+def _voltage(row: Mapping[str, str]) -> float:
+    kv = _float(row["voltage_kv"], "voltage_kv", cls=NonNumericVoltage)
+    if kv <= 0:
+        raise InvalidValue(f"voltage_kv must be > 0, got {kv}")
+    return kv
+
+
+def _point(row: Mapping[str, str]) -> PlanarPoint:
+    return PlanarPoint(_float(row["x"], "x"), _float(row["y"], "y"))
 
 
 def _fmt(value: float) -> str:
@@ -330,112 +341,81 @@ def format_wkt_linestring(points: Iterable[PlanarPoint]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Parsers
+# Parsers: each one converts a raw row to a record, checking its fields
+# in a fixed order, so a row with several faults reports the same one.
+
+def _bus(row) -> BusRecord:
+    kv = _voltage(row)
+    return BusRecord(row["id"], row["name"], _point(row), kv)
+
 
 def parse_buses(path) -> list[BusRecord]:
     """Parse Substation.csv. Duplicate ids abort with the row number."""
-    records = []
-    for row_no, row in _read_rows(
-        path, ("id", "name", "x", "y", "voltage_kv"), key="id", kind="bus"
-    ):
-        kv = _float(
-            row["voltage_kv"], "voltage_kv", path=path, row=row_no,
-            cls=NonNumericVoltage,
-        )
-        if kv <= 0:
-            raise InvalidValue(f"voltage_kv must be > 0, got {kv}", path=path, row=row_no)
-        location = PlanarPoint(
-            _float(row["x"], "x", path=path, row=row_no),
-            _float(row["y"], "y", path=path, row=row_no),
-        )
-        records.append(BusRecord(row["id"], row["name"], location, kv))
-    return records
+    return _read_rows(path, ("id", "name", "x", "y", "voltage_kv"), _bus, key="id", kind="bus")
+
+
+def _line(row) -> LineRecord:
+    bus_a = _require_id(row["bus_a"], "bus_a")
+    bus_b = _require_id(row["bus_b"], "bus_b")
+    if bus_a == bus_b:
+        raise InvalidValue(f"line {row['id']} is a self-loop on {bus_a}")
+    kv = _voltage(row)
+    geometry = None
+    raw_wkt = row.get("wkt_geometry", "").strip()
+    if raw_wkt:
+        try:
+            geometry = parse_wkt_linestring(raw_wkt)
+        except ValueError as exc:
+            raise InvalidValue(str(exc)) from None
+    return LineRecord(row["id"], bus_a, bus_b, kv, geometry)
 
 
 def parse_lines(path) -> list[LineRecord]:
-    records = []
-    for row_no, row in _read_rows(
-        path, ("id", "bus_a", "bus_b", "voltage_kv"), ("wkt_geometry",), key="id", kind="line"
-    ):
-        line_id = row["id"]
-        bus_a = _require_id(row["bus_a"], "bus_a", path=path, row=row_no)
-        bus_b = _require_id(row["bus_b"], "bus_b", path=path, row=row_no)
-        if bus_a == bus_b:
-            raise InvalidValue(
-                f"line {line_id} is a self-loop on {bus_a}", path=path, row=row_no
-            )
-        kv = _float(
-            row["voltage_kv"], "voltage_kv", path=path, row=row_no,
-            cls=NonNumericVoltage,
-        )
-        if kv <= 0:
-            raise InvalidValue(f"voltage_kv must be > 0, got {kv}", path=path, row=row_no)
-        geometry = None
-        raw_wkt = row.get("wkt_geometry", "").strip()
-        if raw_wkt:
-            try:
-                geometry = parse_wkt_linestring(raw_wkt)
-            except ValueError as exc:
-                raise InvalidValue(str(exc), path=path, row=row_no) from None
-        records.append(LineRecord(line_id, bus_a, bus_b, kv, geometry))
-    return records
+    return _read_rows(
+        path, ("id", "bus_a", "bus_b", "voltage_kv"), _line, ("wkt_geometry",),
+        key="id", kind="line",
+    )
+
+
+def _generator(row) -> GeneratorRecord:
+    cap = _nonnegative(row, "max_capacity_mw")
+    return GeneratorRecord(row["id"], _require_id(row["bus_id"], "bus_id"), cap, row["fuel_type"])
 
 
 def parse_generators(path) -> list[GeneratorRecord]:
-    records = []
-    for row_no, row in _read_rows(
-        path, ("id", "bus_id", "max_capacity_mw", "fuel_type"), key="id", kind="generator"
-    ):
-        cap = _float(row["max_capacity_mw"], "max_capacity_mw", path=path, row=row_no)
-        if cap < 0:
-            raise InvalidValue(
-                f"max_capacity_mw must be >= 0, got {cap}", path=path, row=row_no
-            )
-        bus_id = _require_id(row["bus_id"], "bus_id", path=path, row=row_no)
-        records.append(GeneratorRecord(row["id"], bus_id, cap, row["fuel_type"]))
-    return records
+    return _read_rows(
+        path, ("id", "bus_id", "max_capacity_mw", "fuel_type"), _generator,
+        key="id", kind="generator",
+    )
 
 
 def _parse_border_rows(path, id_column: str):
     """Shared reader for the two border files. Returns ordered shapes."""
-    # vertices[id] -> {ring_index: {vertex_index: point}}
+    # vertices[id] -> {ring_index: {vertex_index: point}}, ids in file order
     vertices: dict[str, dict[int, dict[int, PlanarPoint]]] = {}
     names: dict[str, str] = {}
-    order: list[str] = []
-    for row_no, row in _read_rows(
-        path, (id_column, "name", "ring_index", "vertex_index", "x", "y")
-    ):
-        shape_id = _require_id(row[id_column], id_column, path=path, row=row_no)
-        ring_i = _int(row["ring_index"], "ring_index", path=path, row=row_no)
-        vertex_i = _int(row["vertex_index"], "vertex_index", path=path, row=row_no)
+
+    def add_vertex(row) -> None:
+        shape_id = _require_id(row[id_column], id_column)
+        ring_i = _int(row["ring_index"], "ring_index")
+        vertex_i = _int(row["vertex_index"], "vertex_index")
         if ring_i < 0 or vertex_i < 0:
-            raise InvalidValue("negative ring/vertex index", path=path, row=row_no)
-        point = PlanarPoint(
-            _float(row["x"], "x", path=path, row=row_no),
-            _float(row["y"], "y", path=path, row=row_no),
-        )
-        if shape_id not in vertices:
-            vertices[shape_id] = {}
-            names[shape_id] = row["name"]
-            order.append(shape_id)
-        elif names[shape_id] != row["name"]:
-            raise InvalidValue(
-                f"{id_column} {shape_id} listed under two names", path=path, row=row_no
-            )
-        ring = vertices[shape_id].setdefault(ring_i, {})
+            raise InvalidValue("negative ring/vertex index")
+        point = _point(row)
+        if names.setdefault(shape_id, row["name"]) != row["name"]:
+            raise InvalidValue(f"{id_column} {shape_id} listed under two names")
+        ring = vertices.setdefault(shape_id, {}).setdefault(ring_i, {})
         if vertex_i in ring:
-            raise DuplicateId(
-                f"duplicate vertex {vertex_i} in ring {ring_i} of {shape_id}",
-                path=path,
-                row=row_no,
-            )
+            raise DuplicateId(f"duplicate vertex {vertex_i} in ring {ring_i} of {shape_id}")
         ring[vertex_i] = point
 
+    _read_rows(path, (id_column, "name", "ring_index", "vertex_index", "x", "y"), add_vertex)
+
     shapes = []
-    for shape_id in order:
+    for shape_id, shape in vertices.items():
         rings = []
-        for ring_i in sorted(vertices[shape_id]):
-            ring = vertices[shape_id][ring_i]
+        for ring_i in sorted(shape):
+            ring = shape[ring_i]
             rings.append(tuple(ring[i] for i in sorted(ring)))
         try:
             polygon = PlanarPolygon(tuple(rings))
@@ -460,50 +440,38 @@ def parse_city_polygons(path) -> list[CityPolygon]:
     ]
 
 
+def _population_point(row) -> PopulationPoint:
+    pop = _nonnegative(row, "population", _int)
+    return PopulationPoint(_require_id(row["city_id"], "city_id"), _point(row), pop)
+
+
 def parse_population_points(path) -> list[PopulationPoint]:
-    records = []
-    for row_no, row in _read_rows(path, ("city_id", "x", "y", "population")):
-        pop = _int(row["population"], "population", path=path, row=row_no)
-        if pop < 0:
-            raise InvalidValue(f"population must be >= 0, got {pop}", path=path, row=row_no)
-        records.append(
-            PopulationPoint(
-                _require_id(row["city_id"], "city_id", path=path, row=row_no),
-                PlanarPoint(
-                    _float(row["x"], "x", path=path, row=row_no),
-                    _float(row["y"], "y", path=path, row=row_no),
-                ),
-                pop,
-            )
-        )
-    return records
+    return _read_rows(path, ("city_id", "x", "y", "population"), _population_point)
 
 
 def parse_hourly_loads(path) -> list[AreaLoad]:
-    records = []
-    for row_no, row in _read_rows(
-        path, ("area_id", "name", "avg_hourly_load_mw"), key="area_id", kind="area"
-    ):
-        load = _float(row["avg_hourly_load_mw"], "avg_hourly_load_mw", path=path, row=row_no)
-        if load < 0:
-            raise InvalidValue(
-                f"avg_hourly_load_mw must be >= 0, got {load}", path=path, row=row_no
-            )
-        records.append(AreaLoad(row["area_id"], row["name"], load))
-    return records
+    return _read_rows(
+        path,
+        ("area_id", "name", "avg_hourly_load_mw"),
+        lambda row: AreaLoad(
+            row["area_id"], row["name"], _nonnegative(row, "avg_hourly_load_mw")
+        ),
+        key="area_id",
+        kind="area",
+    )
 
 
 def parse_snapshot_outputs(path) -> dict[str, float]:
     """Parse Snapshot.csv into generator id -> output (MW)."""
-    outputs: dict[str, float] = {}
-    for row_no, row in _read_rows(
-        path, ("generator_id", "output_mw"), key="generator_id", kind="generator"
-    ):
-        value = _float(row["output_mw"], "output_mw", path=path, row=row_no)
-        if value < 0:
-            raise InvalidValue(f"output_mw must be >= 0, got {value}", path=path, row=row_no)
-        outputs[row["generator_id"]] = value
-    return outputs
+    return dict(
+        _read_rows(
+            path,
+            ("generator_id", "output_mw"),
+            lambda row: (row["generator_id"], _nonnegative(row, "output_mw")),
+            key="generator_id",
+            kind="generator",
+        )
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -688,7 +656,6 @@ def build_dataset(
     area_loads: Sequence[AreaLoad] = (),
     city_polygons: Sequence[CityPolygon] = (),
     population_points: Sequence[PopulationPoint] = (),
-    source_files: Mapping[str, str] | None = None,
 ) -> GridDataset:
     """Link, annotate, and freeze parsed records into a GridDataset.
 
@@ -733,10 +700,6 @@ def build_dataset(
         generators=tuple(sorted(generators, key=lambda g: g.id)),
         planning_areas=merged_areas,
         city_polygons=tuple(sorted(city_polygons, key=lambda c: c.id)),
-        provenance=DatasetProvenance(
-            source_files=tuple(sorted((source_files or {}).items())),
-            ingested_at=datetime.now(timezone.utc).isoformat(),
-        ),
     )
 
 
@@ -849,5 +812,4 @@ def load_dataset(data_dir) -> GridDataset:
         area_loads=parse_hourly_loads(paths["hourly_loads"]),
         city_polygons=parse_city_polygons(paths["cities"]),
         population_points=parse_population_points(paths["population"]),
-        source_files={key: str(path) for key, path in paths.items()},
     )

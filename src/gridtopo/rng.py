@@ -34,18 +34,9 @@ def _xorshift64star(state: int) -> int:
     return (state * 0x2545F4914F6CDD1D) & _MASK64
 
 
-def keyed_stream(seed: int, label: str):
-    """Infinite iterator of 64-bit words for the (seed, label) stream."""
-    state = _fnv1a(label.encode("utf-8")) ^ ((seed * _SEED_MIX) & _MASK64)
-    if state == 0:
-        state = _SEED_MIX
-    while True:
-        state = _xorshift64star(state)
-        yield state
-
-
 def coin(seed: int, label: str) -> bool:
     """Deterministic fair coin for the given (seed, label) pair."""
-    stream = keyed_stream(seed, label)
-    next(stream)  # discard first word; low-entropy labels warm up
-    return bool(next(stream) >> 63)
+    state = _fnv1a(label.encode("utf-8")) ^ ((seed * _SEED_MIX) & _MASK64)
+    # The first word is discarded; low-entropy labels warm up. A zero
+    # state (a seed that cancels the label's hash) stays zero: False.
+    return bool(_xorshift64star(_xorshift64star(state)) >> 63)

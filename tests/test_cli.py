@@ -242,6 +242,22 @@ def test_similarity_falls_back_to_primary_load_file(capsys, tmp_path):
     assert len(rows) == 2 and rows[1].startswith("all,")
 
 
+def test_similarity_rejects_unknown_area_in_yearly_load(capsys, tmp_path):
+    data_dir = tmp_path / "data"
+    shutil.copytree(FIXTURES / "grid30", data_dir)
+    yearly = data_dir / "HourlyLoad_2021.csv"
+    with yearly.open("a", encoding="utf-8") as fh:
+        fh.write("A9,Nowhere,10.0\n")
+    out = tmp_path / "similarity.csv"
+    code, stdout, err = run(
+        capsys, "similarity", "--data-dir", str(data_dir), "--out", str(out)
+    )
+    assert code == 1
+    assert stdout == ""
+    assert err == f"error: {yearly}: hourly load references unknown planning area A9\n"
+    assert not out.exists()
+
+
 def test_demand_index_export(capsys, tmp_path):
     out = tmp_path / "demand_index.csv"
     code, _stdout, _err = run(

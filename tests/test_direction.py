@@ -31,6 +31,16 @@ def snapshot_for(dataset):
     return make_snapshot(dataset, "max")
 
 
+def lattice_datasets(rng, count):
+    """``count`` seeded planar-lattice datasets of 50-500 buses."""
+    datasets = []
+    for _ in range(count):
+        rows = rng.randint(8, 22)
+        cols = rng.randint(max(8, -(-50 // rows)), 500 // rows)
+        datasets.append(build_dataset(**planar_lattice_records(rng, rows, cols)))
+    return datasets
+
+
 def grid_with(buses, lines, gens=()):
     dataset = toy_dataset(buses, lines, gens)
     return build_grid(dataset), snapshot_for(dataset)
@@ -276,8 +286,8 @@ def test_orient_all_mixed_fixture_provenances():
 
 def test_orient_all_total_and_deterministic():
     rng = random.Random(555)
-    for _ in range(20):
-        dataset = random_connected_dataset(rng, max_buses=25)
+    datasets = [random_connected_dataset(rng, max_buses=25) for _ in range(20)]
+    for dataset in datasets + lattice_datasets(random.Random(556), 6):
         grid = build_grid(dataset)
         snap = snapshot_for(dataset)
         first = orient_all(grid, snap, seed=7)
@@ -295,8 +305,8 @@ def test_heuristic_stage_is_seed_invariant():
         Provenance.BFS_TREE,
         Provenance.SPECIAL_FREE_FLOW,
     }
-    for _ in range(10):
-        dataset = random_connected_dataset(rng, max_buses=25)
+    datasets = [random_connected_dataset(rng, max_buses=25) for _ in range(10)]
+    for dataset in datasets + lattice_datasets(random.Random(809), 6):
         grid = build_grid(dataset)
         snap = snapshot_for(dataset)
         a = orient_all(grid, snap, seed=1)
@@ -327,11 +337,14 @@ def test_h3_dominance_on_random_graphs():
 
 def test_residual_reachability_from_entries():
     rng = random.Random(2024)
-    for _ in range(15):
-        dataset = random_connected_dataset(rng, max_buses=30)
+    cases = [
+        (random_connected_dataset(rng, max_buses=30), rng.randrange(10_000)) for _ in range(15)
+    ]
+    lattice_rng = random.Random(2025)
+    cases += [(d, lattice_rng.randrange(10_000)) for d in lattice_datasets(lattice_rng, 6)]
+    for dataset, seed in cases:
         grid = build_grid(dataset)
         snap = snapshot_for(dataset)
-        seed = rng.randrange(10_000)
         partial = apply_heuristics(grid, snap, seed)
         orientation = orient_all(grid, snap, seed)
         for sub in residual_subgraphs(grid, partial):
@@ -356,12 +369,7 @@ def test_residual_reachability_from_entries():
 
 def test_orientation_csv_round_trip(tmp_path):
     """The diamond fixture plus seeded 50-500-bus lattice grids."""
-    rng = random.Random(5150)
-    datasets = [load_dataset(FIXTURES / "diamond")]
-    for _ in range(8):
-        rows = rng.randint(8, 22)
-        cols = rng.randint(max(8, -(-50 // rows)), 500 // rows)
-        datasets.append(build_dataset(**planar_lattice_records(rng, rows, cols)))
+    datasets = [load_dataset(FIXTURES / "diamond")] + lattice_datasets(random.Random(5150), 8)
     kinds = set()
     for n, dataset in enumerate(datasets):
         grid = build_grid(dataset)

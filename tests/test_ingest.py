@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridtopo.direction import read_orientation_csv
 from gridtopo.geometry import PlanarPoint, PlanarPolygon
 from gridtopo.ingest import (
     AreaLoad,
@@ -118,6 +119,42 @@ def test_keyed_parsers_reject_duplicate_id_with_row(tmp_path, parse, name, text,
     with pytest.raises(DuplicateId) as err:
         parse(path)
     assert str(err.value) == f"{path}: row 3: {message}"
+
+
+_ROW_ERROR_CASES = [
+    (parse_buses, "id,name,x,y,voltage_kv", "S1,A,0,0,240", "S2,B,0,0,-5",
+     "voltage_kv must be > 0, got -5.0"),
+    (parse_lines, "id,bus_a,bus_b,voltage_kv", "L1,S1,S2,240", "L2,S2,S2,240",
+     "line L2 is a self-loop on S2"),
+    (parse_generators, "id,bus_id,max_capacity_mw,fuel_type", "G1,S1,1,GAS", "G2,S1,-1,GAS",
+     "max_capacity_mw must be >= 0, got -1.0"),
+    (parse_planning_area_polygons, "area_id,name,ring_index,vertex_index,x,y",
+     "60,A,0,0,0,0", "60,A,0,1,x,0", "non-numeric x: 'x'"),
+    (parse_city_polygons, "city_id,name,ring_index,vertex_index,x,y",
+     "C1,Cal,0,0,0,0", "C1,Cal,-1,1,1,0", "negative ring/vertex index"),
+    (parse_population_points, "city_id,x,y,population", "C1,0,0,10", "C1,0,0,ten",
+     "non-integer population: 'ten'"),
+    (parse_hourly_loads, "area_id,name,avg_hourly_load_mw", "60,A,1", "61,B,nan",
+     "non-finite avg_hourly_load_mw: 'nan'"),
+    (parse_snapshot_outputs, "generator_id,output_mw", "G1,1", " ,2", "empty generator_id"),
+    (read_orientation_csv, "line_id,from_bus,to_bus,provenance", "L1,A,B,p", "L2,A,B",
+     "expected 4 fields, found 3"),
+]
+
+
+@pytest.mark.parametrize(
+    "parse, header, good, bad, message",
+    _ROW_ERROR_CASES,
+    ids=[case[0].__name__ for case in _ROW_ERROR_CASES],
+)
+def test_row_errors_name_file_and_physical_row(tmp_path, parse, header, good, bad, message):
+    """Header, a good row, a blank line, then a bad row: the error is at row 4."""
+    path = write(tmp_path, "data.csv", f"{header}\n{good}\n\n{bad}\n")
+    with pytest.raises(IngestError) as err:
+        parse(path)
+    assert err.value.path == path
+    assert err.value.row == 4
+    assert str(err.value) == f"{path}: row 4: {message}"
 
 
 def test_parse_buses_missing_column(tmp_path):
@@ -496,6 +533,11 @@ def test_generated_records_round_trip(kind, data):
         parsed = parse(path)
     assert parsed == records
     assert serialize(parsed) == text
+
+
+@pytest.mark.parametrize("fixture", FIXTURE_NAMES)
+def test_load_dataset_is_deterministic(fixture):
+    assert load_dataset(FIXTURES / fixture) == load_dataset(FIXTURES / fixture)
 
 
 def test_load_dataset_missing_file(tmp_path):

@@ -1,7 +1,13 @@
-"""Structure guard: ``gridtopo.ingest`` is the package's only CSV reader
-and writer, so the output dialect (UTF-8, ``\\n`` line ends) is decided
-in one place. No other module may import ``csv`` or call ``open`` in a
-write mode."""
+"""Structure guards.
+
+``gridtopo.ingest`` is the package's only CSV reader and writer, so the
+output dialect (UTF-8, ``\\n`` line ends) is decided in one place. No
+other module may import ``csv`` or call ``open`` in a write mode.
+
+``ingest._read_rows`` alone attaches the file and row to an ingest
+error; converters raise without a location. No other function may pass
+``row=``.
+"""
 
 import ast
 from pathlib import Path
@@ -64,3 +70,48 @@ def test_guard_flags_csv_imports_and_write_modes():
         "p.open()\n"
     )
     assert [v.split(":")[1] for v in violations(source, "m.py")] == ["1", "2", "3", "4", "5", "6"]
+
+
+def row_keyword_calls(source: str, name: str) -> list[str]:
+    """``name:function:line`` of every call that passes ``row=``."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and any(k.arg == "row" for k in child.keywords):
+                found.append(f"{name}:{scope}:{child.lineno}")
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope
+            visit(child, inner)
+
+    visit(ast.parse(source, filename=name), "<module>")
+    return found
+
+
+def test_only_read_rows_passes_a_row():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        found += row_keyword_calls(path.read_text(encoding="utf-8"), path.name)
+    assert [f for f in found if not f.startswith("ingest.py:_read_rows:")] == []
+    assert any(f.startswith("ingest.py:_read_rows:") for f in found)
+
+
+def test_row_guard_flags_row_keywords_and_their_scope():
+    source = (
+        "f(row=1)\n"
+        "def _read_rows():\n"
+        "    g(x, row=2)\n"
+        "    def make():\n"
+        "        h(row=3)\n"
+        "class C:\n"
+        "    def m(self):\n"
+        "        k(path=p, row=4)\n"
+        "k(rows=5)\n"
+        "k(path=p)\n"
+        "def row(): return row\n"
+    )
+    assert row_keyword_calls(source, "m.py") == [
+        "m.py:<module>:1",
+        "m.py:_read_rows:3",
+        "m.py:make:5",
+        "m.py:m:8",
+    ]
