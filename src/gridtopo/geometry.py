@@ -3,6 +3,17 @@
 Coordinates are abstract planar units (digitized map positions). No
 geodesy, projection, or datum handling is applied anywhere; the numbers
 are taken at face value.
+
+Region assignment rests on one walk, :func:`locate`, which tells a point
+``OUTSIDE``, on the ``BOUNDARY`` of, or ``INSIDE`` a polygon. It rejects
+a point outside the bounding box at once, and it skips an edge whose
+y-range misses the point's height before any other arithmetic on it
+(Haines, "Point in Polygon Strategies", Graphics Gems IV, 1994). The
+skip is exact: such an edge can neither hold the point nor cross the
+ray through it, so only the edges at the point's height are tested, and
+with the same arithmetic as a walk over every edge. A point exactly on
+an edge is on the boundary, which :func:`point_in_polygon` counts as
+inside.
 """
 
 from __future__ import annotations
@@ -10,7 +21,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-__all__ = ["PlanarPoint", "PlanarPolygon", "point_in_polygon", "point_on_boundary"]
+__all__ = [
+    "PlanarPoint",
+    "PlanarPolygon",
+    "OUTSIDE",
+    "BOUNDARY",
+    "INSIDE",
+    "locate",
+    "point_in_polygon",
+]
+
+#: Results of :func:`locate`; ``OUTSIDE`` is the only falsy one.
+OUTSIDE, BOUNDARY, INSIDE = 0, 1, 2
 
 
 @dataclass(frozen=True, slots=True)
@@ -55,11 +77,6 @@ class PlanarPolygon:
         ys = [p.y for ring in normalized for p in ring]
         object.__setattr__(self, "bbox", (min(xs), min(ys), max(xs), max(ys)))
 
-    def edges(self):
-        for ring in self.rings:
-            for a, b in zip(ring, ring[1:]):
-                yield a, b
-
 
 def _on_segment(p: PlanarPoint, a: PlanarPoint, b: PlanarPoint) -> bool:
     cross = (b.x - a.x) * (p.y - a.y) - (b.y - a.y) * (p.x - a.x)
@@ -71,31 +88,40 @@ def _on_segment(p: PlanarPoint, a: PlanarPoint, b: PlanarPoint) -> bool:
     )
 
 
-def point_in_polygon(p: PlanarPoint, poly: PlanarPolygon) -> bool:
-    """Even-odd ray-casting containment test.
+def locate(p: PlanarPoint, poly: PlanarPolygon) -> int:
+    """Even-odd ray cast: ``OUTSIDE``, ``BOUNDARY`` or ``INSIDE``.
 
-    Convention: a point lying exactly on any edge (in the float
-    arithmetic sense) counts as inside. This keeps features digitized
-    on a shared boundary line deterministic. A point strictly outside
-    the bounding box is outside without walking the edges (an on-edge
-    point never is); this also keeps rounding in the crossing abscissa
-    from counting a point just left of a vertex as inside.
+    A point lying exactly on any edge (in the float arithmetic sense) is
+    on the ``BOUNDARY``. A point strictly outside the bounding box is
+    ``OUTSIDE`` without walking the edges (an on-edge point never is);
+    this also keeps rounding in the crossing abscissa from counting a
+    point just left of a vertex as inside. An edge whose y-range misses
+    ``p.y`` is skipped: it can neither hold ``p`` nor cross its ray.
     """
+    px, py = p.x, p.y
     min_x, min_y, max_x, max_y = poly.bbox
-    if p.x < min_x or p.x > max_x or p.y < min_y or p.y > max_y:
-        return False
+    if px < min_x or px > max_x or py < min_y or py > max_y:
+        return OUTSIDE
     inside = False
-    for a, b in poly.edges():
-        if _on_segment(p, a, b):
-            return True
-        # Half-open vertical rule: each edge covers [min(y), max(y)).
-        if (a.y > p.y) != (b.y > p.y):
-            x_cross = a.x + (p.y - a.y) * (b.x - a.x) / (b.y - a.y)
-            if p.x < x_cross:
-                inside = not inside
-    return inside
+    for ring in poly.rings:
+        for a, b in zip(ring, ring[1:]):
+            ay, by = a.y, b.y
+            if (py < ay and py < by) or (py > ay and py > by):
+                continue
+            if _on_segment(p, a, b):
+                return BOUNDARY
+            # Half-open vertical rule: each edge covers [min(y), max(y)).
+            if (ay > py) != (by > py):
+                x_cross = a.x + (py - ay) * (b.x - a.x) / (by - ay)
+                if px < x_cross:
+                    inside = not inside
+    return INSIDE if inside else OUTSIDE
 
 
-def point_on_boundary(p: PlanarPoint, poly: PlanarPolygon) -> bool:
-    """Whether ``p`` lies exactly on an edge of any ring of ``poly``."""
-    return any(_on_segment(p, a, b) for a, b in poly.edges())
+def point_in_polygon(p: PlanarPoint, poly: PlanarPolygon) -> bool:
+    """Whether ``p`` is inside ``poly`` or on its boundary (see :func:`locate`).
+
+    Counting an on-edge point as inside keeps features digitized on a
+    shared boundary line deterministic.
+    """
+    return locate(p, poly) != OUTSIDE

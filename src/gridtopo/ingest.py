@@ -36,7 +36,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .geometry import PlanarPoint, PlanarPolygon, point_in_polygon, point_on_boundary
+from .geometry import BOUNDARY, PlanarPoint, PlanarPolygon, locate
 
 __all__ = [
     "IngestError",
@@ -228,7 +228,8 @@ def _read_rows(
 
     An IngestError raised here or by ``make`` is raised again with the
     file and its physical 1-based row (the header is row 1), so
-    converters report only what is wrong.
+    converters report only what is wrong. Bytes that are not UTF-8 raise
+    InvalidValue with the row that holds the first bad byte.
     """
     try:
         fh = open(path, newline="", encoding="utf-8-sig")
@@ -268,7 +269,27 @@ def _read_rows(
             if exc.path is not None or exc.row is not None:
                 raise
             raise type(exc)(str(exc), path=path, row=lineno) from None
+        except UnicodeDecodeError as exc:
+            message, row = _undecodable(path, exc)
+            raise InvalidValue(message, path=path, row=row) from None
     return records
+
+
+def _undecodable(path, exc: UnicodeDecodeError) -> tuple[str, int | None]:
+    """The message for the first non-UTF-8 byte of ``path``, and its row.
+
+    The text layer decodes ahead in chunks, so the reader's row when
+    ``exc`` came is not the row of the bad byte: decode the file's bytes
+    and count the line ends before the byte that fails.
+    """
+    data = Path(path).read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as first:
+        exc, row = first, data.count(b"\n", 0, first.start) + 1
+    else:
+        row = None  # the file changed after the reader failed
+    return f"not UTF-8: byte 0x{exc.object[exc.start]:02x} ({exc.reason})", row
 
 
 def _float(raw: str, column: str, cls=NonNumericValue) -> float:
@@ -598,15 +619,16 @@ def _area_of(
     boundaries, to the lowest area id. Two areas that both hold it
     strictly inside overlap, which raises OverlappingAreas.
     """
-    areas = [a for a in planning_areas if point_in_polygon(point, a.boundary)]
-    if len(areas) <= 1:
-        return areas[0] if areas else None
-    interior = [a for a in areas if not point_on_boundary(point, a.boundary)]
+    # Misses build no tuple: nearly every area misses every point.
+    where = [(a, w) for a in planning_areas if (w := locate(point, a.boundary))]
+    if len(where) <= 1:
+        return where[0][0] if where else None
+    interior = [a for a, w in where if w != BOUNDARY]
     if len(interior) > 1:
         raise OverlappingAreas(
-            f"{subject} lies in planning areas " + ", ".join(sorted(a.id for a in areas))
+            f"{subject} lies in planning areas " + ", ".join(sorted(a.id for a, _ in where))
         )
-    return interior[0] if interior else min(areas, key=lambda a: a.id)
+    return interior[0] if interior else min((a for a, _ in where), key=lambda a: a.id)
 
 
 def assign_regions(
@@ -626,10 +648,10 @@ def assign_regions(
     for bus in buses:
         area = _area_of(bus.location, planning_areas, f"bus {bus.id}")
         area_id = area.id if area is not None else None
-        urban = any(
-            point_in_polygon(bus.location, city.boundary) for city in city_polygons
+        urban = any(locate(bus.location, city.boundary) for city in city_polygons)
+        annotated.append(
+            BusRecord(bus.id, bus.name, bus.location, bus.voltage_kv, area_id, urban)
         )
-        annotated.append(replace(bus, planning_area_id=area_id, is_urban=urban))
     return annotated
 
 

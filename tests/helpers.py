@@ -30,6 +30,16 @@ _DUMMY_RING = (
 )
 
 
+def write_latin1_substations(path, bad_row: int, newline: str = "\n", bom: bool = False) -> None:
+    """A 2,001-row Substation.csv encoded as Latin-1; physical row
+    ``bad_row`` (the header is row 1) holds the one non-UTF-8 byte."""
+    rows = ["id,name,x,y,voltage_kv"]
+    rows += [f"B{n},Bus {n},{n}.0,0.0,138.0" for n in range(2, 2002)]
+    rows[bad_row - 1] = rows[bad_row - 1].replace(",", "\u00e9,", 1)
+    text = newline.join(rows) + newline
+    Path(path).write_bytes((b"\xef\xbb\xbf" if bom else b"") + text.encode("latin-1"))
+
+
 def dummy_polygon() -> PlanarPolygon:
     return PlanarPolygon((_DUMMY_RING,))
 

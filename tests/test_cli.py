@@ -11,7 +11,7 @@ import pytest
 import gridtopo
 from gridtopo.cli import cli_main
 
-from helpers import FIXTURES
+from helpers import FIXTURES, write_latin1_substations
 
 
 def run(capsys, *argv):
@@ -54,6 +54,19 @@ def test_internal_error_exits_2(capsys, monkeypatch):
     code, _out, err = run(capsys, "validate", "--data-dir", str(FIXTURES / "pair"))
     assert code == 2
     assert "synthetic crash" in err
+
+
+def test_validate_names_file_and_row_of_non_utf8_byte(capsys, tmp_path):
+    data = tmp_path / "pair"
+    shutil.copytree(FIXTURES / "pair", data)
+    write_latin1_substations(data / "Substation.csv", 1502)
+    code, out, err = run(capsys, "validate", "--data-dir", str(data))
+    assert code == 1
+    assert out == ""
+    assert err == (
+        f"error: {data / 'Substation.csv'}: row 1502: "
+        "not UTF-8: byte 0xe9 (invalid continuation byte)\n"
+    )
 
 
 def test_validate_clean_and_anomalous(capsys):

@@ -2,16 +2,31 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gridtopo.geometry import PlanarPoint, PlanarPolygon, point_in_polygon, point_on_boundary
+from gridtopo import geometry
+from gridtopo.geometry import (
+    BOUNDARY,
+    INSIDE,
+    OUTSIDE,
+    PlanarPoint,
+    PlanarPolygon,
+    locate,
+    point_in_polygon,
+)
 
 P = PlanarPoint
 
 
 def square(x0=0.0, y0=0.0, x1=1.0, y1=1.0):
     return (P(x0, y0), P(x1, y0), P(x1, y1), P(x0, y1))
+
+
+def _edges(poly):
+    """Every edge of every ring, in order."""
+    for ring in poly.rings:
+        yield from zip(ring, ring[1:])
 
 
 def test_point_requires_finite_coordinates():
@@ -117,7 +132,7 @@ def _reference_on_segment(p, a, b):
 def _reference_ray_cast(p, poly):
     """The even-odd walk over every edge, without the bounding-box test."""
     inside = False
-    for a, b in poly.edges():
+    for a, b in _edges(poly):
         if _reference_on_segment(p, a, b):
             return True
         if (a.y > p.y) != (b.y > p.y):
@@ -168,7 +183,7 @@ def _probe_points(draw, poly):
     if kind == "vertex":
         return draw(st.sampled_from(vertices))
     if kind == "midpoint":
-        a, b = draw(st.sampled_from(list(poly.edges())))
+        a, b = draw(st.sampled_from(list(_edges(poly))))
         return P((a.x + b.x) / 2, (a.y + b.y) / 2)
     v = draw(st.sampled_from(vertices))
     side = draw(st.sampled_from(["left", "right", "below", "above"]))
@@ -213,8 +228,94 @@ def test_bbox_is_derived_and_ignored_by_equality():
 
 def test_point_on_boundary():
     poly = PlanarPolygon((square(), square(0.25, 0.25, 0.75, 0.75)))
-    assert point_on_boundary(P(1.0, 0.5), poly)
-    assert point_on_boundary(P(0.0, 0.0), poly)
-    assert point_on_boundary(P(0.25, 0.5), poly)  # hole edge
-    assert not point_on_boundary(P(0.1, 0.5), poly)
-    assert not point_on_boundary(P(2.0, 0.5), poly)
+    assert locate(P(1.0, 0.5), poly) == BOUNDARY
+    assert locate(P(0.0, 0.0), poly) == BOUNDARY
+    assert locate(P(0.25, 0.5), poly) == BOUNDARY  # hole edge
+    assert locate(P(0.1, 0.5), poly) != BOUNDARY
+    assert locate(P(2.0, 0.5), poly) != BOUNDARY
+
+
+# --- locate against the unfiltered walk ------------------------------------------
+
+def _reference_locate(p, poly):
+    """Every edge is tested: an on-edge scan, then the even-odd ray cast."""
+    if any(_reference_on_segment(p, a, b) for a, b in _edges(poly)):
+        return BOUNDARY
+    return INSIDE if _reference_ray_cast(p, poly) else OUTSIDE
+
+
+@st.composite
+def _flattened_star_polygons(draw):
+    """A star polygon, some of whose vertices take the y of the one before,
+    so that some edges are horizontal."""
+    poly = draw(_star_polygons())
+    rings = []
+    for ring in poly.rings:
+        ring = list(ring[:-1])
+        for k in range(1, len(ring)):
+            if draw(st.booleans()):
+                ring[k] = P(ring[k].x, ring[k - 1].y)
+        rings.append(tuple(ring))
+    try:
+        return PlanarPolygon(tuple(rings))
+    except ValueError:
+        assume(False)
+
+
+@st.composite
+def _locate_probes(draw, poly):
+    """Besides ``_probe_points``: points on horizontal edges, and points one
+    ulp above or below a vertex's height."""
+    kind = draw(st.sampled_from(["probe", "horizontal", "ulp_height"]))
+    horizontal = [(a, b) for a, b in _edges(poly) if a.y == b.y]
+    if kind == "probe" or (kind == "horizontal" and not horizontal):
+        return draw(_probe_points(poly))
+    if kind == "horizontal":
+        a, b = draw(st.sampled_from(horizontal))
+        return P(draw(st.floats(min(a.x, b.x), max(a.x, b.x))), a.y)
+    v = draw(st.sampled_from([v for ring in poly.rings for v in ring]))
+    min_x, _, max_x, _ = poly.bbox
+    x = draw(st.sampled_from([v.x, draw(st.floats(min_x, max_x))]))
+    return P(x, math.nextafter(v.y, draw(st.sampled_from([-math.inf, math.inf]))))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_locate_matches_unfiltered_walk(data):
+    poly = data.draw(_flattened_star_polygons())
+    for _ in range(8):
+        p = data.draw(_locate_probes(poly))
+        expected = OUTSIDE if _strictly_outside_bbox(p, poly) else _reference_locate(p, poly)
+        assert locate(p, poly) == expected
+        assert point_in_polygon(p, poly) == (expected != OUTSIDE)
+
+
+def test_locate_tests_only_edges_at_the_points_height(monkeypatch):
+    # A 500-vertex ring close to a circle: a horizontal line meets few edges.
+    rng = random.Random(6)
+    poly = PlanarPolygon((tuple(
+        P(r * math.cos(t), r * math.sin(t))
+        for t, r in ((2 * math.pi * k / 500, rng.uniform(0.99, 1.01)) for k in range(500))
+    ),))
+    edges = list(_edges(poly))
+    calls = []
+
+    def counted(p, a, b):
+        calls.append((a, b))
+        return _reference_on_segment(p, a, b)
+
+    monkeypatch.setattr(geometry, "_on_segment", counted)
+    min_x, min_y, max_x, max_y = poly.bbox
+    probes = [P(rng.uniform(min_x, max_x), rng.uniform(min_y, max_y)) for _ in range(50)]
+    probes += [v for v in poly.rings[0][:50]]
+    for p in probes:
+        calls.clear()
+        result = locate(p, poly)
+        at_height = [(a, b) for a, b in edges if min(a.y, b.y) <= p.y <= max(a.y, b.y)]
+        assert len(calls) <= len(at_height) < len(edges) // 10
+        assert set(calls) <= set(at_height)
+        assert result == _reference_locate(p, poly)
+    for p in (P(min_x - 1.0, min_y), P(max_x, max_y + 1e-9), P(0.5 * (min_x + max_x), min_y - 1.0)):
+        calls.clear()
+        assert locate(p, poly) == OUTSIDE
+        assert calls == []

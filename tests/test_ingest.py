@@ -49,7 +49,7 @@ from gridtopo.ingest import (
     write_text,
 )
 
-from helpers import FIXTURES, FIXTURE_NAMES
+from helpers import FIXTURES, FIXTURE_NAMES, write_latin1_substations
 
 P = PlanarPoint
 
@@ -155,6 +155,22 @@ def test_row_errors_name_file_and_physical_row(tmp_path, parse, header, good, ba
     assert err.value.path == path
     assert err.value.row == 4
     assert str(err.value) == f"{path}: row 4: {message}"
+
+
+@pytest.mark.parametrize(
+    "bad_row, newline, bom",
+    [(1502, "\n", False), (1, "\n", False), (2001, "\n", True), (1502, "\r\n", True)],
+)
+def test_non_utf8_byte_names_file_and_its_row(tmp_path, bad_row, newline, bom):
+    # The text layer decodes ahead, so the reader is rows away from the byte.
+    path = tmp_path / "Substation.csv"
+    write_latin1_substations(path, bad_row, newline, bom)
+    with pytest.raises(InvalidValue) as err:
+        parse_buses(path)
+    assert (err.value.path, err.value.row) == (path, bad_row)
+    assert str(err.value) == (
+        f"{path}: row {bad_row}: not UTF-8: byte 0xe9 (invalid continuation byte)"
+    )
 
 
 def test_parse_buses_missing_column(tmp_path):

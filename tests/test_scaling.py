@@ -1,33 +1,67 @@
-"""Scaling guard: ingest-to-orientation work must grow about linearly."""
+"""Scaling guards: ingest-to-orientation work and CSV loading must grow
+about linearly."""
 
 import gc
 import random
 import time
 
+from gridtopo import ingest
 from gridtopo.direction import orient_all
 from gridtopo.dispatch import make_snapshot
 from gridtopo.graph import build_grid
-from gridtopo.ingest import build_dataset
+from gridtopo.ingest import DATASET_FILES, AreaLoad, build_dataset, load_dataset
 
 from helpers import planar_lattice_records
 
 
-def _cpu_seconds(records) -> float:
+def _cpu_seconds(work, arg) -> float:
     gc.collect()  # start each run with the same collector state
     start = time.process_time()
-    dataset = build_dataset(**records)
-    orient_all(build_grid(dataset), make_snapshot(dataset))
+    work(arg)
     return time.process_time() - start
 
 
-def test_build_and_orient_scale_linearly():
+def _assert_about_linear(work, small, large) -> None:
     # 39 x 39 = 1521 and 78 x 78 = 6084 buses: about four times the work
     # if it is linear, sixteen if it is quadratic in buses or lines. The
     # sizes alternate and each keeps its fastest of three runs, so a slow
     # spell of a shared host hits both sizes alike.
-    small = planar_lattice_records(random.Random(5), 39, 39)
-    large = planar_lattice_records(random.Random(5), 78, 78)
-    runs = [(_cpu_seconds(small), _cpu_seconds(large)) for _ in range(3)]
+    runs = [(_cpu_seconds(work, small), _cpu_seconds(work, large)) for _ in range(3)]
     best_small = min(s for s, _ in runs)
     best_large = min(l for _, l in runs)
     assert best_large / best_small < 8.0, f"{best_small:.3f} s -> {best_large:.3f} s"
+
+
+def _build_and_orient(records) -> None:
+    dataset = build_dataset(**records)
+    orient_all(build_grid(dataset), make_snapshot(dataset))
+
+
+def test_build_and_orient_scale_linearly():
+    small = planar_lattice_records(random.Random(5), 39, 39)
+    large = planar_lattice_records(random.Random(5), 78, 78)
+    _assert_about_linear(_build_and_orient, small, large)
+
+
+def _write_dataset(records, data_dir) -> None:
+    """Write ``records`` as the canonical file family through ``serialize_*``."""
+    loads = [AreaLoad(a.id, a.name, 100.0) for a in records["planning_areas"]]
+    texts = {
+        "buses": ingest.serialize_buses(records["buses"]),
+        "lines": ingest.serialize_lines(records["lines"]),
+        "generators": ingest.serialize_generators(records["generators"]),
+        "planning_areas": ingest.serialize_planning_area_polygons(records["planning_areas"]),
+        "cities": ingest.serialize_city_polygons(records["city_polygons"]),
+        "population": ingest.serialize_population_points(records["population_points"]),
+        "hourly_loads": ingest.serialize_hourly_loads(loads),
+    }
+    for key, name in DATASET_FILES.items():
+        ingest.write_text(data_dir / name, texts[key])
+    assert load_dataset(data_dir) == build_dataset(**records, area_loads=loads)
+
+
+def test_load_dataset_from_csv_scales_linearly(tmp_path):
+    small, large = tmp_path / "small", tmp_path / "large"
+    _write_dataset(planar_lattice_records(random.Random(5), 39, 39), small)
+    _write_dataset(planar_lattice_records(random.Random(5), 78, 78), large)
+    _assert_about_linear(load_dataset, small, large)
