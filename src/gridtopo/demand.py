@@ -91,7 +91,13 @@ def similarity_report(
 ) -> tuple[SimilarityRow, ...]:
     """Compare each year's area-load vector against the single area
     population vector. Vectors align on sorted area ids; an area
-    missing from a year's mapping contributes 0."""
+    missing from a year's mapping contributes 0. Correlation needs at
+    least two areas."""
+    if len(dataset.planning_areas) < 2:
+        raise ValueError(
+            "similarity needs at least 2 planning areas, "
+            f"dataset has {len(dataset.planning_areas)}"
+        )
     area_ids = [a.id for a in dataset.planning_areas]
     population = [float(a.population) for a in dataset.planning_areas]
     rows = []
@@ -117,9 +123,6 @@ class DemandIndex:
 
     values: Mapping[str, float]
     flags: tuple[str, ...] = ()
-
-    def total(self) -> float:
-        return math.fsum(self.values.values())
 
 
 def allocate_demand_index(

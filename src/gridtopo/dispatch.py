@@ -63,8 +63,6 @@ class GenerationSnapshot:
     """Per-generator output defining one scenario."""
 
     outputs: Mapping[str, float]
-    mode: str
-    label: str | None = None
     warnings: tuple[str, ...] = ()
 
     def bus_output(self, grid: Grid, bus: str) -> float:
@@ -83,7 +81,6 @@ def make_snapshot(
     dataset: GridDataset,
     mode: str = MODE_MAX_CAPACITY,
     snapshot_path=None,
-    label: str | None = None,
 ) -> GenerationSnapshot:
     """Build a scenario from capacities or from a Snapshot.csv file.
 
@@ -93,9 +90,7 @@ def make_snapshot(
     """
     if mode == MODE_MAX_CAPACITY:
         outputs = {g.id: g.max_capacity_mw for g in dataset.generators}
-        return GenerationSnapshot(
-            outputs=MappingProxyType(outputs), mode=mode, label=label
-        )
+        return GenerationSnapshot(outputs=MappingProxyType(outputs))
     if mode != MODE_TIME_POINT:
         raise ValueError(f"unknown snapshot mode {mode!r}")
     if snapshot_path is None:
@@ -119,12 +114,7 @@ def make_snapshot(
         outputs[gen_id] = value
     for gen_id in sorted(set(reported) - set(known)):
         warnings.append(f"snapshot lists unknown generator {gen_id}; ignored")
-    return GenerationSnapshot(
-        outputs=MappingProxyType(outputs),
-        mode=mode,
-        label=label if label is not None else Path(snapshot_path).stem,
-        warnings=tuple(warnings),
-    )
+    return GenerationSnapshot(outputs=MappingProxyType(outputs), warnings=tuple(warnings))
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,9 @@ y-range misses the point's height before any other arithmetic on it
 skip is exact: such an edge can neither hold the point nor cross the
 ray through it, so only the edges at the point's height are tested, and
 with the same arithmetic as a walk over every edge. A point exactly on
-an edge is on the boundary, which :func:`point_in_polygon` counts as
-inside.
+an edge or a vertex is on the ``BOUNDARY``. ``BOUNDARY`` is truthy, so
+region assignment counts such a point as inside; ``ingest`` settles a
+point on a border that several areas share.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ __all__ = [
     "BOUNDARY",
     "INSIDE",
     "locate",
-    "point_in_polygon",
 ]
 
 #: Results of :func:`locate`; ``OUTSIDE`` is the only falsy one.
@@ -116,12 +116,3 @@ def locate(p: PlanarPoint, poly: PlanarPolygon) -> int:
                 if px < x_cross:
                     inside = not inside
     return INSIDE if inside else OUTSIDE
-
-
-def point_in_polygon(p: PlanarPoint, poly: PlanarPolygon) -> bool:
-    """Whether ``p`` is inside ``poly`` or on its boundary (see :func:`locate`).
-
-    Counting an on-edge point as inside keeps features digitized on a
-    shared boundary line deterministic.
-    """
-    return locate(p, poly) != OUTSIDE

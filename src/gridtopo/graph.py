@@ -12,27 +12,20 @@ from typing import Mapping
 
 from .ingest import BusRecord, GeneratorRecord, GridDataset, LineRecord
 
-__all__ = ["Grid", "VoltageClass", "build_grid", "voltage_class", "undirected_components"]
+__all__ = ["Grid", "build_grid", "voltage_class"]
 
 # 500 kV circuits act as interregional extensions of the 240 kV
 # backbone, so both voltages share one class rank.
 _MERGED_KV = {500.0: 240.0}
 
 
-@dataclass(frozen=True, slots=True, order=True)
-class VoltageClass:
-    """Ordered voltage tier; compare with <, ==, etc."""
-
-    rank: float
-
-
-def voltage_class(kv: float) -> VoltageClass:
-    """Map a kV level to its class. 240 kV and 500 kV share a rank; all
-    other levels rank by raw kV."""
+def voltage_class(kv: float) -> float:
+    """Map a kV level to its class rank. 240 kV and 500 kV share a rank;
+    all other levels rank by raw kV."""
     kv = float(kv)
     if kv <= 0:
         raise ValueError(f"voltage must be positive, got {kv}")
-    return VoltageClass(_MERGED_KV.get(kv, kv))
+    return _MERGED_KV.get(kv, kv)
 
 
 @dataclass(frozen=True)
@@ -48,21 +41,10 @@ class Grid:
     adjacency: Mapping[str, tuple[tuple[str, str], ...]]
     generators_by_bus: Mapping[str, tuple[GeneratorRecord, ...]]
 
-    @property
-    def bus_ids(self) -> tuple[str, ...]:
-        return tuple(self.adjacency)
-
-    @property
-    def line_ids(self) -> tuple[str, ...]:
-        return tuple(self.lines)
-
-    def degree(self, bus_id: str) -> int:
-        return len(self.adjacency[bus_id])
-
-    def line_class(self, line_id: str) -> VoltageClass:
+    def line_class(self, line_id: str) -> float:
         return voltage_class(self.lines[line_id].voltage_kv)
 
-    def bus_class(self, bus_id: str) -> VoltageClass:
+    def bus_class(self, bus_id: str) -> float:
         return voltage_class(self.buses[bus_id].voltage_kv)
 
 
@@ -89,25 +71,3 @@ def build_grid(dataset: GridDataset) -> Grid:
             {bus: tuple(members) for bus, members in sorted(gens.items())}
         ),
     )
-
-
-def undirected_components(grid: Grid) -> tuple[tuple[str, ...], ...]:
-    """Connected components as sorted bus-id tuples; their union is the
-    full bus set. Discovery order follows sorted bus ids."""
-    seen: set[str] = set()
-    components: list[tuple[str, ...]] = []
-    for start in grid.adjacency:
-        if start in seen:
-            continue
-        stack = [start]
-        seen.add(start)
-        component = []
-        while stack:
-            bus = stack.pop()
-            component.append(bus)
-            for _line_id, neighbor in grid.adjacency[bus]:
-                if neighbor not in seen:
-                    seen.add(neighbor)
-                    stack.append(neighbor)
-        components.append(tuple(sorted(component)))
-    return tuple(components)

@@ -227,8 +227,9 @@ def _read_rows(
     DuplicateId naming the ``kind`` of record.
 
     An IngestError raised here or by ``make`` is raised again with the
-    file and its physical 1-based row (the header is row 1), so
-    converters report only what is wrong. Bytes that are not UTF-8 raise
+    file and the physical 1-based line on which the record starts (the
+    header is row 1; a quoted field may span lines), so converters
+    report only what is wrong. Bytes that are not UTF-8 raise
     InvalidValue with the row that holds the first bad byte.
     """
     try:
@@ -253,7 +254,10 @@ def _read_rows(
                 raise UnexpectedColumn(
                     f"header {','.join(header)} does not match schema {','.join(allowed)}"
                 )
-            for lineno, row in enumerate(reader, start=2):
+            end = reader.line_num  # last physical line read so far
+            for row in reader:
+                # A quoted field may span lines: report the record's first.
+                lineno, end = end + 1, reader.line_num
                 if not row:
                     continue
                 if len(row) != len(header):

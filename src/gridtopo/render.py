@@ -67,6 +67,9 @@ class RenderStyle:
 
 DEFAULT_STYLE = RenderStyle()
 
+#: SVG viewport width in user units; the height follows the data's aspect.
+SVG_WIDTH = 800.0
+
 
 def _normalizer(values: Mapping[str, float]):
     if not values:
@@ -163,7 +166,6 @@ def render_svg(
     orientation: Orientation,
     solution: FlowSolution | None = None,
     style: RenderStyle = DEFAULT_STYLE,
-    width: float = 800.0,
 ) -> str:
     """Flat SVG projection of the GeoJSON content (same color ramps)."""
     document = render_geojson(grid, orientation, solution, style)
@@ -181,14 +183,14 @@ def render_svg(
             ys.append(y)
     if not xs:
         return (
-            f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {width:g} {width:g}"/>'
-            "\n"
+            f'<svg xmlns="http://www.w3.org/2000/svg" '
+            f'viewBox="0 0 {SVG_WIDTH:g} {SVG_WIDTH:g}"/>\n'
         )
     min_x, max_x = min(xs), max(xs)
     min_y, max_y = min(ys), max(ys)
     span = max(max_x - min_x, max_y - min_y) or 1.0
     margin = 0.05 * span
-    scale = width / (span + 2 * margin)
+    scale = SVG_WIDTH / (span + 2 * margin)
 
     def project(x: float, y: float) -> tuple[float, float]:
         return (
@@ -199,9 +201,9 @@ def render_svg(
     height = (max_y - min_y + 2 * margin) * scale
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" '
-        f'viewBox="0 0 {width:.2f} {height:.2f}">'
+        f'viewBox="0 0 {SVG_WIDTH:.2f} {height:.2f}">'
     ]
-    bus_radius = max(3.0, width / 200.0)
+    bus_radius = max(3.0, SVG_WIDTH / 200.0)
     for feature in document["features"]:
         geometry = feature["geometry"]
         color = feature["properties"]["color"]

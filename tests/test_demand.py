@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -98,6 +99,14 @@ def test_report_one_row_per_year_sorted():
     assert [r.year for r in rows] == ["2020", "2022"]
 
 
+@pytest.mark.parametrize("years", [{"2021": {"A1": 10.0}}, {}])
+def test_report_needs_two_planning_areas(years):
+    dataset = toy_dataset([("s1", 138, "A1")], area_specs=[("A1", 10.0, 120)])
+    with pytest.raises(ValueError) as err:
+        similarity_report(dataset, years)
+    assert str(err.value) == "similarity needs at least 2 planning areas, dataset has 1"
+
+
 def test_report_matches_brute_force_on_fixture():
     dataset = load_dataset(FIXTURES / "grid30")
     population = [float(a.population) for a in dataset.planning_areas]
@@ -165,7 +174,7 @@ def test_area_without_buses_is_flagged():
     )
     index = allocate_demand_index(dataset)
     assert any("A9" in flag for flag in index.flags)
-    assert index.total() == pytest.approx(10.0)
+    assert math.fsum(index.values.values()) == pytest.approx(10.0)
 
 
 def test_bus_outside_areas_gets_zero_and_flag():

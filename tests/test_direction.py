@@ -185,7 +185,7 @@ def test_entry_uniform_subgraph_with_generator():
     # both lines were directed away from b by the generator rule
     assert subs == ()
     # remove the generator influence by zeroing output: now uniform+inactive
-    snap_zero = GenerationSnapshot(outputs=MappingProxyType({"g1": 0.0}), mode="max")
+    snap_zero = GenerationSnapshot(outputs=MappingProxyType({"g1": 0.0}))
     partial = apply_heuristics(grid, snap_zero)
     (sub,) = residual_subgraphs(grid, partial)
     entries, fallback = entry_points(sub, grid, snap, partial)  # active snapshot
@@ -466,8 +466,7 @@ def test_entry_points_match_full_scan_reference():
         partial = apply_heuristics(grid, snap)
         # A snapshot other than the partial's must be the one that is read.
         other = GenerationSnapshot(
-            outputs=MappingProxyType({g: rng.choice([0.0, 5.0]) for g in snap.outputs}),
-            mode="max",
+            outputs=MappingProxyType({g: rng.choice([0.0, 5.0]) for g in snap.outputs})
         )
         for sub in residual_subgraphs(grid, partial):
             for snapshot in (snap, other):

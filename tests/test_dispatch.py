@@ -38,7 +38,7 @@ def test_max_capacity_snapshot_copies_caps():
     )
     snap = make_snapshot(dataset, "max")
     assert dict(snap.outputs) == {"g1": 815.0, "g2": 400.0}
-    assert snap.mode == "max" and snap.warnings == ()
+    assert snap.warnings == ()
 
 
 def test_timepoint_defaults_missing_generators(tmp_path):
@@ -50,7 +50,6 @@ def test_timepoint_defaults_missing_generators(tmp_path):
     snap = make_snapshot(dataset, "timepoint", path)
     assert dict(snap.outputs) == {"g1": 100.0, "g2": 0.0}
     assert any("g2" in w for w in snap.warnings)
-    assert snap.label == "Snapshot"
 
 
 def test_timepoint_accepts_overcapacity_with_warning(tmp_path):

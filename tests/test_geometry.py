@@ -13,7 +13,6 @@ from gridtopo.geometry import (
     PlanarPoint,
     PlanarPolygon,
     locate,
-    point_in_polygon,
 )
 
 P = PlanarPoint
@@ -55,24 +54,24 @@ def test_polygon_rejects_degenerate_rings():
 
 def test_unit_square_containment():
     poly = PlanarPolygon((square(),))
-    assert point_in_polygon(P(0.5, 0.5), poly)
-    assert not point_in_polygon(P(2.0, 0.0), poly)
-    assert not point_in_polygon(P(-0.1, 0.5), poly)
+    assert locate(P(0.5, 0.5), poly) != OUTSIDE
+    assert locate(P(2.0, 0.0), poly) == OUTSIDE
+    assert locate(P(-0.1, 0.5), poly) == OUTSIDE
 
 
 def test_on_edge_and_vertex_count_inside():
     poly = PlanarPolygon((square(),))
-    assert point_in_polygon(P(0.0, 0.5), poly)  # edge
-    assert point_in_polygon(P(0.5, 1.0), poly)  # edge
-    assert point_in_polygon(P(0.0, 0.0), poly)  # vertex
+    assert locate(P(0.0, 0.5), poly) != OUTSIDE  # edge
+    assert locate(P(0.5, 1.0), poly) != OUTSIDE  # edge
+    assert locate(P(0.0, 0.0), poly) != OUTSIDE  # vertex
 
 
 def test_hole_excludes_interior_by_even_odd():
     poly = PlanarPolygon((square(), square(0.25, 0.25, 0.75, 0.75)))
-    assert not point_in_polygon(P(0.5, 0.5), poly)  # inside the hole
-    assert point_in_polygon(P(0.1, 0.5), poly)  # in the annulus
-    assert point_in_polygon(P(0.25, 0.5), poly)  # on the hole edge
-    assert not point_in_polygon(P(2.0, 2.0), poly)
+    assert locate(P(0.5, 0.5), poly) == OUTSIDE  # inside the hole
+    assert locate(P(0.1, 0.5), poly) != OUTSIDE  # in the annulus
+    assert locate(P(0.25, 0.5), poly) != OUTSIDE  # on the hole edge
+    assert locate(P(2.0, 2.0), poly) == OUTSIDE
 
 
 # --- winding-number oracle ------------------------------------------------
@@ -115,7 +114,7 @@ def test_matches_winding_oracle_on_random_simple_polygons():
             p = P(rng.uniform(-8, 8), rng.uniform(-8, 8))
             if min(_segment_distance(p, a, b) for a, b in zip(ring, ring[1:])) < 1e-9:
                 continue  # boundary points follow the documented convention instead
-            assert point_in_polygon(p, poly) == _winding_inside(p, ring)
+            assert (locate(p, poly) != OUTSIDE) == _winding_inside(p, ring)
             checked += 1
     assert checked >= 950
 
@@ -204,9 +203,9 @@ def test_bbox_prefilter_matches_unfiltered_ray_cast(data):
         p = data.draw(_probe_points(poly))
         if _strictly_outside_bbox(p, poly):
             # every vertex, so the whole polygon, lies inside the box
-            assert not point_in_polygon(p, poly)
+            assert locate(p, poly) == OUTSIDE
         else:
-            assert point_in_polygon(p, poly) == _reference_ray_cast(p, poly)
+            assert (locate(p, poly) != OUTSIDE) == _reference_ray_cast(p, poly)
 
 
 def test_point_left_of_bbox_is_outside_despite_crossing_rounding():
@@ -215,7 +214,7 @@ def test_point_left_of_bbox_is_outside_despite_crossing_rounding():
     poly = PlanarPolygon(((P(0.1, 3.0), P(0.0, 0.0), P(1.0, 0.0)),))
     p = P(-1e-17, 0.0)
     assert _reference_ray_cast(p, poly)
-    assert not point_in_polygon(p, poly)
+    assert locate(p, poly) == OUTSIDE
 
 
 def test_bbox_is_derived_and_ignored_by_equality():
@@ -287,7 +286,6 @@ def test_locate_matches_unfiltered_walk(data):
         p = data.draw(_locate_probes(poly))
         expected = OUTSIDE if _strictly_outside_bbox(p, poly) else _reference_locate(p, poly)
         assert locate(p, poly) == expected
-        assert point_in_polygon(p, poly) == (expected != OUTSIDE)
 
 
 def test_locate_tests_only_edges_at_the_points_height(monkeypatch):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from gridtopo.graph import build_grid, undirected_components, voltage_class
+from gridtopo.graph import build_grid, voltage_class
 
 from helpers import random_connected_dataset, toy_dataset
 
@@ -11,7 +11,7 @@ def test_two_buses_one_line():
     grid = build_grid(toy_dataset([("a", 240), ("b", 138)], [("l1", "a", "b", 240)]))
     assert grid.adjacency["a"] == (("l1", "b"),)
     assert grid.adjacency["b"] == (("l1", "a"),)
-    assert grid.degree("a") == grid.degree("b") == 1
+    assert len(grid.adjacency["a"]) == len(grid.adjacency["b"]) == 1
 
 
 def test_triangle_degrees():
@@ -21,7 +21,7 @@ def test_triangle_degrees():
             [("l1", "a", "b", 138), ("l2", "b", "c", 138), ("l3", "a", "c", 138)],
         )
     )
-    assert all(grid.degree(bus) == 2 for bus in grid.bus_ids)
+    assert all(len(pairs) == 2 for pairs in grid.adjacency.values())
 
 
 def test_parallel_lines_stay_distinct():
@@ -32,7 +32,7 @@ def test_parallel_lines_stay_distinct():
         )
     )
     assert grid.adjacency["a"] == (("l1", "b"), ("l2", "b"))
-    assert grid.degree("a") == 2 and grid.degree("b") == 2
+    assert len(grid.adjacency["a"]) == 2 and len(grid.adjacency["b"]) == 2
     assert len(grid.lines) == 2
 
 
@@ -40,15 +40,15 @@ def test_iteration_order_is_sorted():
     grid = build_grid(
         toy_dataset([("z", 138), ("a", 138), ("m", 138)], [("l9", "z", "a", 138), ("l1", "m", "z", 138)])
     )
-    assert grid.bus_ids == ("a", "m", "z")
-    assert grid.line_ids == ("l1", "l9")
+    assert tuple(grid.adjacency) == ("a", "m", "z")
+    assert tuple(grid.lines) == ("l1", "l9")
 
 
 def test_degree_sum_equals_twice_line_count():
     rng = random.Random(99)
     for _ in range(25):
         grid = build_grid(random_connected_dataset(rng, max_buses=30))
-        degree_sum = sum(grid.degree(bus) for bus in grid.bus_ids)
+        degree_sum = sum(len(pairs) for pairs in grid.adjacency.values())
         assert degree_sum == 2 * len(grid.lines)
 
 
@@ -76,40 +76,3 @@ def test_voltage_class_rejects_nonpositive():
         voltage_class(0)
     with pytest.raises(ValueError):
         voltage_class(-138)
-
-
-# --- components ------------------------------------------------------------
-
-def test_connected_triangle_single_component():
-    grid = build_grid(
-        toy_dataset(
-            [("a", 138), ("b", 138), ("c", 138)],
-            [("l1", "a", "b", 138), ("l2", "b", "c", 138), ("l3", "a", "c", 138)],
-        )
-    )
-    assert undirected_components(grid) == (("a", "b", "c"),)
-
-
-def test_two_disjoint_edges():
-    grid = build_grid(
-        toy_dataset(
-            [("a", 138), ("b", 138), ("c", 138), ("d", 138)],
-            [("l1", "a", "b", 138), ("l2", "c", "d", 138)],
-        )
-    )
-    assert undirected_components(grid) == (("a", "b"), ("c", "d"))
-
-
-def test_empty_grid_has_no_components():
-    grid = build_grid(toy_dataset([]))
-    assert undirected_components(grid) == ()
-
-
-def test_components_partition_all_buses():
-    rng = random.Random(4242)
-    for _ in range(10):
-        grid = build_grid(random_connected_dataset(rng, max_buses=20))
-        components = undirected_components(grid)
-        flat = [bus for component in components for bus in component]
-        assert sorted(flat) == sorted(grid.bus_ids)
-        assert len(flat) == len(set(flat))

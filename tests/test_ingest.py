@@ -158,6 +158,28 @@ def test_row_errors_name_file_and_physical_row(tmp_path, parse, header, good, ba
 
 
 @pytest.mark.parametrize(
+    "rows, error, row, message",
+    [
+        # B1's quoted name spans lines 2-3, so B2 is on line 4.
+        ('B1,"two\nlines",0,0,138\nB2,b,0,0,abc\n', NonNumericVoltage, 4,
+         "non-numeric voltage_kv: 'abc'"),
+        # B3's own quoted name spans lines 5-6: the record starts on line 5.
+        ('B1,a,0,0,138\nB2,"x\ny",0,0,138\nB3,"four\nlines",0,0,-1\n', InvalidValue, 5,
+         "voltage_kv must be > 0, got -1.0"),
+        # Lines 2-3 hold B1, line 4 is blank, the repeat is on line 5.
+        ('B1,"two\nlines",0,0,138\n\nB1,b,0,0,138\n', DuplicateId, 5, "duplicate bus id B1"),
+    ],
+    ids=["after-multiline", "own-multiline", "duplicate-after-multiline"],
+)
+def test_row_after_multiline_field_is_the_physical_line(tmp_path, rows, error, row, message):
+    path = write(tmp_path, "Substation.csv", "id,name,x,y,voltage_kv\n" + rows)
+    with pytest.raises(error) as err:
+        parse_buses(path)
+    assert (err.value.path, err.value.row) == (path, row)
+    assert str(err.value) == f"{path}: row {row}: {message}"
+
+
+@pytest.mark.parametrize(
     "bad_row, newline, bom",
     [(1502, "\n", False), (1, "\n", False), (2001, "\n", True), (1502, "\r\n", True)],
 )

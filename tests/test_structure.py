@@ -7,6 +7,10 @@ other module may import ``csv`` or call ``open`` in a write mode.
 ``ingest._read_rows`` alone attaches the file and row to an ingest
 error; converters raise without a location. No other function may pass
 ``row=``.
+
+Every module-level function and class, and every method, is named
+somewhere in the package, so no definition lives only for the tests.
+The few that stay for other callers are listed with their reason.
 """
 
 import ast
@@ -115,3 +119,74 @@ def test_row_guard_flags_row_keywords_and_their_scope():
         "m.py:make:5",
         "m.py:m:8",
     ]
+
+
+#: Definitions no package code names, each kept for a caller outside it.
+UNREFERENCED = {
+    "direction.py:Orientation.endpoint_map": "perfbench diffs two orientations with it",
+    "direction.py:Orientation.provenance_counts": "perfbench records the provenance histogram",
+    "dispatch.py:GenerationSnapshot.total_output": "perfbench checks bus-load mass against it",
+    "ingest.py:serialize_buses": "canonical CSV writer for generated datasets",
+    "ingest.py:serialize_lines": "canonical CSV writer for generated datasets",
+    "ingest.py:serialize_generators": "canonical CSV writer for generated datasets",
+    "ingest.py:serialize_hourly_loads": "canonical CSV writer for generated datasets",
+    "ingest.py:serialize_planning_area_polygons": "canonical CSV writer for generated datasets",
+    "ingest.py:serialize_city_polygons": "canonical CSV writer for generated datasets",
+    "ingest.py:serialize_population_points": "canonical CSV writer for generated datasets",
+    "ingest.py:serialize_snapshot_outputs": "canonical CSV writer for generated datasets",
+}
+
+
+def unreferenced_definitions(sources: dict[str, str]) -> list[str]:
+    """``module:name`` of each module-level function or class, and each
+    method (``module:Class.name``), whose name no ``ast.Name`` or
+    ``ast.Attribute`` in ``sources`` carries. Dunders are exempt; an
+    import or a string is not a use."""
+    defined, used = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source, filename=module)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append((f"{module}:{node.name}", node.name))
+            if isinstance(node, ast.ClassDef):
+                defined += [
+                    (f"{module}:{node.name}.{m.name}", m.name)
+                    for m in node.body
+                    if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))
+                ]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return [
+        key
+        for key, name in defined
+        if name not in used and not (name.startswith("__") and name.endswith("__"))
+    ]
+
+
+def test_every_definition_is_named_in_the_package():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    # Equality, so an entry goes once the package names it.
+    assert sorted(unreferenced_definitions(sources)) == sorted(UNREFERENCED)
+
+
+def test_dead_code_guard_flags_unnamed_definitions():
+    sources = {
+        "a.py": (
+            "from b import Dead, unused\n"
+            "__all__ = ['Dead', 'unused']\n"
+            "def used(): pass\n"
+            "def unused(): pass\n"
+            "class C:\n"
+            "    def __init__(self): pass\n"
+            "    def called(self): pass\n"
+            "    def dead(self): pass\n"
+            "    @property\n"
+            "    def prop(self): return 1\n"
+            "class Dead: pass\n"
+        ),
+        "b.py": "used()\nC().called()\nx.prop\n",
+    }
+    assert unreferenced_definitions(sources) == ["a.py:unused", "a.py:C.dead", "a.py:Dead"]
