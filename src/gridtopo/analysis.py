@@ -6,8 +6,6 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping
 
-__all__ = ["DirectionDiff", "direction_diff"]
-
 Endpoints = tuple[str, str]
 
 

@@ -36,16 +36,14 @@ from .dispatch import (
 )
 from .graph import build_grid
 from .ingest import (
-    DanglingReference,
     IngestError,
+    link_area_loads,
     load_dataset,
     parse_hourly_loads,
     validate_dataset,
     write_text,
 )
 from .render import DEFAULT_STYLE, geojson_text, render_dot, render_geojson, render_svg
-
-__all__ = ["cli_main", "main"]
 
 
 class _UsageError(Exception):
@@ -169,20 +167,13 @@ def _cmd_orient(args) -> str:
 
 
 def _yearly_loads(data_dir: Path, dataset):
-    area_ids = {a.id for a in dataset.planning_areas}
-    yearly = {}
-    for path in sorted(data_dir.glob("HourlyLoad_*.csv")):
-        loads = {}
-        for row in parse_hourly_loads(path):
-            if row.area_id not in area_ids:
-                raise DanglingReference(
-                    f"hourly load references unknown planning area {row.area_id}", path=path
-                )
-            loads[row.area_id] = row.avg_hourly_load_mw
-        yearly[path.stem.split("_", 1)[1]] = loads
-    if not yearly:
-        yearly["all"] = {a.id: a.avg_hourly_load_mw for a in dataset.planning_areas}
-    return yearly
+    yearly = {
+        path.stem.split("_", 1)[1]: link_area_loads(
+            parse_hourly_loads(path), dataset.planning_areas, path
+        )
+        for path in sorted(data_dir.glob("HourlyLoad_*.csv"))
+    }
+    return yearly or {"all": {a.id: a.avg_hourly_load_mw for a in dataset.planning_areas}}
 
 
 def _cmd_similarity(args) -> str:

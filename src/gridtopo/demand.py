@@ -17,20 +17,6 @@ from typing import Mapping, Sequence
 
 from .ingest import GridDataset, write_csv
 
-__all__ = [
-    "DEFAULT_URBAN_SHARE",
-    "ZeroVector",
-    "ConstantVector",
-    "DemandIndex",
-    "SimilarityRow",
-    "cosine_similarity",
-    "pearson",
-    "similarity_report",
-    "allocate_demand_index",
-    "write_demand_index_csv",
-    "write_similarity_csv",
-]
-
 #: Fraction of each area's load assigned to urban buses. The default is
 #: the 2021 census urban-population share for Alberta; override it for
 #: other territories or vintages.

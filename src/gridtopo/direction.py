@@ -39,22 +39,6 @@ from .ingest import LineRecord, _read_rows, write_csv
 if TYPE_CHECKING:
     from .dispatch import GenerationSnapshot
 
-__all__ = [
-    "DEFAULT_SEED",
-    "Direction",
-    "Provenance",
-    "Orientation",
-    "PartialOrientation",
-    "ResidualSubgraph",
-    "apply_heuristics",
-    "residual_subgraphs",
-    "entry_points",
-    "bfs_orient",
-    "orient_all",
-    "write_orientation_csv",
-    "read_orientation_csv",
-]
-
 DEFAULT_SEED = 42
 
 

@@ -41,19 +41,6 @@ from .direction import Orientation
 from .graph import Grid
 from .ingest import GridDataset, parse_snapshot_outputs, write_csv, write_text
 
-__all__ = [
-    "MODE_MAX_CAPACITY",
-    "MODE_TIME_POINT",
-    "GenerationSnapshot",
-    "BusLoad",
-    "FlowSolution",
-    "make_snapshot",
-    "reachable_buses",
-    "estimate_bus_load",
-    "solve_flow_lp",
-    "write_solution_files",
-]
-
 MODE_MAX_CAPACITY = "max"
 MODE_TIME_POINT = "timepoint"
 

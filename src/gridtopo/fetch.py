@@ -22,16 +22,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from urllib.parse import urlparse
 
-__all__ = [
-    "FetchError",
-    "ManifestError",
-    "NetworkError",
-    "HashMismatch",
-    "ManifestEntry",
-    "parse_manifest",
-    "fetch_dataset",
-]
-
 
 class FetchError(Exception):
     pass

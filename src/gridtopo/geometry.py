@@ -22,15 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-__all__ = [
-    "PlanarPoint",
-    "PlanarPolygon",
-    "OUTSIDE",
-    "BOUNDARY",
-    "INSIDE",
-    "locate",
-]
-
 #: Results of :func:`locate`; ``OUTSIDE`` is the only falsy one.
 OUTSIDE, BOUNDARY, INSIDE = 0, 1, 2
 

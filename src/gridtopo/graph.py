@@ -12,8 +12,6 @@ from typing import Mapping
 
 from .ingest import BusRecord, GeneratorRecord, GridDataset, LineRecord
 
-__all__ = ["Grid", "build_grid", "voltage_class"]
-
 # 500 kV circuits act as interregional extensions of the 240 kV
 # backbone, so both voltages share one class rank.
 _MERGED_KV = {500.0: 240.0}

@@ -38,46 +38,6 @@ from typing import Iterable, Mapping, Sequence
 
 from .geometry import BOUNDARY, PlanarPoint, PlanarPolygon, locate
 
-__all__ = [
-    "IngestError",
-    "MissingColumn",
-    "UnexpectedColumn",
-    "DuplicateId",
-    "NonNumericValue",
-    "NonNumericVoltage",
-    "InvalidValue",
-    "DanglingReference",
-    "OverlappingAreas",
-    "BusRecord",
-    "LineRecord",
-    "GeneratorRecord",
-    "CityPolygon",
-    "PlanningArea",
-    "PopulationPoint",
-    "AreaLoad",
-    "GridDataset",
-    "ValidationReport",
-    "parse_buses",
-    "parse_lines",
-    "parse_generators",
-    "parse_planning_area_polygons",
-    "parse_city_polygons",
-    "parse_population_points",
-    "parse_hourly_loads",
-    "parse_snapshot_outputs",
-    "serialize_buses",
-    "serialize_lines",
-    "serialize_generators",
-    "serialize_hourly_loads",
-    "write_csv",
-    "write_text",
-    "assign_regions",
-    "build_dataset",
-    "validate_dataset",
-    "load_dataset",
-    "DATASET_FILES",
-]
-
 
 # ---------------------------------------------------------------------------
 # Errors
@@ -230,7 +190,9 @@ def _read_rows(
     file and the physical 1-based line on which the record starts (the
     header is row 1; a quoted field may span lines), so converters
     report only what is wrong. Bytes that are not UTF-8 raise
-    InvalidValue with the row that holds the first bad byte.
+    InvalidValue with the row that holds the first bad byte, and a
+    record the csv module rejects (a field over ``csv.field_size_limit``,
+    as an unclosed quote makes) raises InvalidValue with its row.
     """
     try:
         fh = open(path, newline="", encoding="utf-8-sig")
@@ -239,6 +201,7 @@ def _read_rows(
     seen: set[str] = set()
     records = []
     lineno = None
+    end = 0  # last physical line read so far
     with fh:
         reader = csv.reader(fh)
         try:
@@ -254,7 +217,7 @@ def _read_rows(
                 raise UnexpectedColumn(
                     f"header {','.join(header)} does not match schema {','.join(allowed)}"
                 )
-            end = reader.line_num  # last physical line read so far
+            end = reader.line_num
             for row in reader:
                 # A quoted field may span lines: report the record's first.
                 lineno, end = end + 1, reader.line_num
@@ -270,9 +233,10 @@ def _read_rows(
                     seen.add(record_id)
                 records.append(make(record))
         except IngestError as exc:
-            if exc.path is not None or exc.row is not None:
-                raise
             raise type(exc)(str(exc), path=path, row=lineno) from None
+        except csv.Error as exc:
+            # Raised while reading the next record, which starts after ``end``.
+            raise InvalidValue(str(exc), path=path, row=end + 1) from None
         except UnicodeDecodeError as exc:
             message, row = _undecodable(path, exc)
             raise InvalidValue(message, path=path, row=row) from None
@@ -414,8 +378,12 @@ def parse_generators(path) -> list[GeneratorRecord]:
     )
 
 
-def _parse_border_rows(path, id_column: str):
-    """Shared reader for the two border files. Returns ordered shapes."""
+_BORDER_COLUMNS = ("name", "ring_index", "vertex_index", "x", "y")
+
+
+def _parse_border_rows(path, id_column: str, make) -> list:
+    """Read one of the two border files into ``make(id, name, polygon)``
+    per shape, in file order."""
     # vertices[id] -> {ring_index: {vertex_index: point}}, ids in file order
     vertices: dict[str, dict[int, dict[int, PlanarPoint]]] = {}
     names: dict[str, str] = {}
@@ -434,7 +402,7 @@ def _parse_border_rows(path, id_column: str):
             raise DuplicateId(f"duplicate vertex {vertex_i} in ring {ring_i} of {shape_id}")
         ring[vertex_i] = point
 
-    _read_rows(path, (id_column, "name", "ring_index", "vertex_index", "x", "y"), add_vertex)
+    _read_rows(path, (id_column, *_BORDER_COLUMNS), add_vertex)
 
     shapes = []
     for shape_id, shape in vertices.items():
@@ -446,23 +414,17 @@ def _parse_border_rows(path, id_column: str):
             polygon = PlanarPolygon(tuple(rings))
         except ValueError as exc:
             raise InvalidValue(f"{id_column} {shape_id}: {exc}", path=path) from None
-        shapes.append((shape_id, names[shape_id], polygon))
+        shapes.append(make(shape_id, names[shape_id], polygon))
     return shapes
 
 
 def parse_planning_area_polygons(path) -> list[PlanningArea]:
     """Parse PlanningAreaBorder.csv; loads and population are merged later."""
-    return [
-        PlanningArea(shape_id, name, polygon)
-        for shape_id, name, polygon in _parse_border_rows(path, "area_id")
-    ]
+    return _parse_border_rows(path, "area_id", PlanningArea)
 
 
 def parse_city_polygons(path) -> list[CityPolygon]:
-    return [
-        CityPolygon(shape_id, name, polygon)
-        for shape_id, name, polygon in _parse_border_rows(path, "city_id")
-    ]
+    return _parse_border_rows(path, "city_id", CityPolygon)
 
 
 def _population_point(row) -> PopulationPoint:
@@ -516,10 +478,13 @@ def _write_csv(header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
 
 def _open_output(path):
     """Open ``path`` for writing as UTF-8 without newline translation,
-    creating its parent directory."""
+    creating its parent directory. An OSError becomes an IngestError."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    return open(path, "w", newline="", encoding="utf-8")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        return open(path, "w", newline="", encoding="utf-8")
+    except OSError as exc:
+        raise IngestError(f"cannot write {path}: {exc}") from exc
 
 
 def write_text(path, text: str) -> None:
@@ -573,24 +538,24 @@ def serialize_hourly_loads(records: Iterable[AreaLoad]) -> str:
     )
 
 
-def _border_rows(shape_id: str, name: str, boundary: PlanarPolygon):
-    for ring_i, ring in enumerate(boundary.rings):
-        for vertex_i, point in enumerate(ring[:-1]):  # open form on disk
-            yield (shape_id, name, str(ring_i), str(vertex_i), _fmt(point.x), _fmt(point.y))
+def _serialize_borders(shapes: Iterable[PlanningArea | CityPolygon], id_column: str) -> str:
+    return _write_csv(
+        (id_column, *_BORDER_COLUMNS),
+        (
+            (s.id, s.name, str(ring_i), str(vertex_i), _fmt(p.x), _fmt(p.y))
+            for s in shapes
+            for ring_i, ring in enumerate(s.boundary.rings)
+            for vertex_i, p in enumerate(ring[:-1])  # open form on disk
+        ),
+    )
 
 
 def serialize_planning_area_polygons(areas: Iterable[PlanningArea]) -> str:
-    rows = []
-    for area in areas:
-        rows.extend(_border_rows(area.id, area.name, area.boundary))
-    return _write_csv(("area_id", "name", "ring_index", "vertex_index", "x", "y"), rows)
+    return _serialize_borders(areas, "area_id")
 
 
 def serialize_city_polygons(cities: Iterable[CityPolygon]) -> str:
-    rows = []
-    for city in cities:
-        rows.extend(_border_rows(city.id, city.name, city.boundary))
-    return _write_csv(("city_id", "name", "ring_index", "vertex_index", "x", "y"), rows)
+    return _serialize_borders(cities, "city_id")
 
 
 def serialize_population_points(points: Iterable[PopulationPoint]) -> str:
@@ -673,6 +638,23 @@ def aggregate_population(
     return totals
 
 
+def link_area_loads(
+    area_loads: Iterable[AreaLoad], planning_areas: Iterable[PlanningArea], path=None
+) -> dict[str, float]:
+    """``{area_id: avg_hourly_load_mw}`` of ``area_loads``, read from
+    ``path`` if given. An area id that names no planning area raises
+    DanglingReference (naming ``path``)."""
+    area_ids = {a.id for a in planning_areas}
+    loads = {}
+    for load in area_loads:
+        if load.area_id not in area_ids:
+            raise DanglingReference(
+                f"hourly load references unknown planning area {load.area_id}", path=path
+            )
+        loads[load.area_id] = load.avg_hourly_load_mw
+    return loads
+
+
 def build_dataset(
     *,
     buses: Sequence[BusRecord],
@@ -701,15 +683,9 @@ def build_dataset(
             raise DanglingReference(
                 f"generator {gen.id} references unknown bus {gen.bus_id}"
             )
-    area_ids = {a.id for a in planning_areas}
-    for load in area_loads:
-        if load.area_id not in area_ids:
-            raise DanglingReference(
-                f"hourly load references unknown planning area {load.area_id}"
-            )
+    loads = link_area_loads(area_loads, planning_areas)
 
     population = aggregate_population(population_points, planning_areas)
-    loads = {load.area_id: load.avg_hourly_load_mw for load in area_loads}
     merged_areas = tuple(
         replace(
             area,

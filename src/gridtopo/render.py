@@ -18,15 +18,6 @@ from .direction import Orientation
 from .dispatch import FlowSolution
 from .graph import Grid
 
-__all__ = [
-    "RenderStyle",
-    "DEFAULT_STYLE",
-    "render_geojson",
-    "geojson_text",
-    "render_dot",
-    "render_svg",
-]
-
 
 def _hex_to_rgb(color: str) -> tuple[int, int, int]:
     color = color.strip()

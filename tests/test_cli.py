@@ -69,6 +69,40 @@ def test_validate_names_file_and_row_of_non_utf8_byte(capsys, tmp_path):
     )
 
 
+def test_validate_names_file_and_row_of_oversize_field(capsys, tmp_path):
+    data = tmp_path / "grid30"
+    shutil.copytree(FIXTURES / "grid30", data)
+    substations = data / "Substation.csv"
+    rows = substations.read_text(encoding="utf-8").splitlines()
+    rows[2] += '"' + "x" * 140_000  # an unclosed quote on row 3
+    substations.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    code, out, err = run(capsys, "validate", "--data-dir", str(data))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {substations}: row 3: field larger than field limit (131072)\n"
+
+
+@pytest.mark.parametrize(
+    "command, out, target",
+    [
+        ("solve", "file", "file/flows.csv"),  # the output directory is a file
+        ("orient", "file/x.csv", "file/x.csv"),
+        ("similarity", "file/x.csv", "file/x.csv"),
+        ("render", "dir", "dir"),  # the output file is a directory
+    ],
+)
+def test_unwritable_output_exits_1(capsys, tmp_path, command, out, target):
+    (tmp_path / "file").write_text("", encoding="utf-8")
+    (tmp_path / "dir").mkdir()
+    code, stdout, err = run(
+        capsys, command, "--data-dir", str(FIXTURES / "grid30"), "--out", str(tmp_path / out)
+    )
+    assert code == 1
+    assert stdout == ""
+    assert err.startswith(f"error: cannot write {tmp_path / target}: [Errno ")
+    assert err.count("\n") == 1
+
+
 def test_validate_clean_and_anomalous(capsys):
     code, out, _err = run(capsys, "validate", "--data-dir", str(FIXTURES / "pair"))
     assert code == 0

@@ -1,3 +1,4 @@
+import csv
 import random
 import tempfile
 from pathlib import Path
@@ -193,6 +194,26 @@ def test_non_utf8_byte_names_file_and_its_row(tmp_path, bad_row, newline, bom):
     assert str(err.value) == (
         f"{path}: row {bad_row}: not UTF-8: byte 0xe9 (invalid continuation byte)"
     )
+
+
+@pytest.mark.parametrize(
+    "head, row",
+    [
+        ("id,name,x,y,voltage_kv\nS1,a,0,0,138\nS2,", 3),
+        # S1's quoted name spans lines 2-3, so the unclosed quote opens on line 4.
+        ('id,name,x,y,voltage_kv\nS1,"two\nlines",0,0,138\nS2,', 4),
+        ("id,", 1),
+    ],
+    ids=["row", "after-multiline", "header"],
+)
+def test_field_over_the_csv_limit_names_file_and_row(tmp_path, head, row):
+    # An unclosed quote runs the field to the end of the file.
+    limit = csv.field_size_limit()
+    path = write(tmp_path, "Substation.csv", head + '"' + "x" * (limit + 10_000) + "\n")
+    with pytest.raises(InvalidValue) as err:
+        parse_buses(path)
+    assert (err.value.path, err.value.row) == (path, row)
+    assert str(err.value) == f"{path}: row {row}: field larger than field limit ({limit})"
 
 
 def test_parse_buses_missing_column(tmp_path):

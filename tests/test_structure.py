@@ -8,6 +8,9 @@ other module may import ``csv`` or call ``open`` in a write mode.
 error; converters raise without a location. No other function may pass
 ``row=``.
 
+No module assigns ``__all__``: every name has one import path, its
+submodule, so a list of exports would only restate the module.
+
 Every module-level function and class, and every method, is named
 somewhere in the package, so no definition lives only for the tests.
 The few that stay for other callers are listed with their reason.
@@ -119,6 +122,37 @@ def test_row_guard_flags_row_keywords_and_their_scope():
         "m.py:make:5",
         "m.py:m:8",
     ]
+
+
+def all_assignments(source: str, name: str) -> list[str]:
+    """``name:line`` of every binding of ``__all__``."""
+    return [
+        f"{name}:{node.lineno}"
+        for node in ast.walk(ast.parse(source, filename=name))
+        if isinstance(node, ast.Name) and node.id == "__all__" and isinstance(node.ctx, ast.Store)
+    ]
+
+
+def test_no_module_assigns_all():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        found += all_assignments(path.read_text(encoding="utf-8"), path.name)
+    assert found == []
+
+
+def test_all_guard_flags_every_binding():
+    source = (
+        "__all__ = ['a']\n"
+        "__all__ += ['b']\n"
+        "__all__: list = []\n"
+        "x, __all__ = 1, ['c']\n"
+        "def f():\n"
+        "    __all__ = []\n"
+        "y = __all__\n"
+        "z = '__all__'\n"
+        "__all__.append('d')\n"
+    )
+    assert all_assignments(source, "m.py") == ["m.py:1", "m.py:2", "m.py:3", "m.py:4", "m.py:6"]
 
 
 #: Definitions no package code names, each kept for a caller outside it.
