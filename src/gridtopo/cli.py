@@ -16,7 +16,7 @@ import sys
 import traceback
 from pathlib import Path
 
-from . import __version__
+from . import __version__, ingest
 from .analysis import direction_diff
 from .demand import (
     DEFAULT_URBAN_SHARE,
@@ -39,7 +39,6 @@ from .ingest import (
     IngestError,
     link_area_loads,
     load_dataset,
-    parse_hourly_loads,
     validate_dataset,
     write_text,
 )
@@ -58,55 +57,59 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> _Parser:
-    common = _Parser(add_help=False)
-    common.add_argument("--data-dir", type=Path, default=Path("."), help="dataset directory")
-    common.add_argument("--seed", type=int, default=DEFAULT_SEED, help="random-stage seed")
-    common.add_argument(
-        "--urban-share",
-        type=float,
-        default=DEFAULT_URBAN_SHARE,
-        help="fraction of area load assigned to urban buses",
-    )
-    common.add_argument(
+    data = _Parser(add_help=False)
+    data.add_argument("--data-dir", type=Path, default=Path("."), help="dataset directory")
+    scenario = _Parser(add_help=False)
+    scenario.add_argument("--seed", type=int, default=DEFAULT_SEED, help="random-stage seed")
+    scenario.add_argument(
         "--mode",
         choices=(MODE_MAX_CAPACITY, MODE_TIME_POINT),
         default=MODE_MAX_CAPACITY,
         help="generation scenario mode",
     )
-    common.add_argument("--snapshot", type=Path, help="Snapshot.csv for timepoint mode")
-    common.add_argument("--out", type=Path, help="output path")
-    common.add_argument(
-        "--format", choices=("geojson", "dot", "svg"), default="geojson", dest="fmt"
+    scenario.add_argument("--snapshot", type=Path, help="Snapshot.csv for timepoint mode")
+    urban = _Parser(add_help=False)
+    urban.add_argument(
+        "--urban-share",
+        type=float,
+        default=DEFAULT_URBAN_SHARE,
+        help="fraction of area load assigned to urban buses",
     )
+    out = _Parser(add_help=False)
+    out.add_argument("--out", type=Path, help="output path")
+    solve = [data, scenario, urban, out]
 
     parser = _Parser(prog="gridtopo", description=__doc__)
     parser.add_argument("--version", action="version", version=f"gridtopo {__version__}")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
-    p = sub.add_parser("fetch", parents=[common], help="download manifest datasets")
+    p = sub.add_parser("fetch", parents=[data], help="download manifest datasets")
     p.add_argument("--manifest", type=Path, help="manifest file (default: <data-dir>/manifest.txt)")
     p.add_argument("--cache-dir", type=Path, help="cache directory (default: <data-dir>)")
 
-    sub.add_parser("validate", parents=[common], help="load and report dataset findings")
-    sub.add_parser("orient", parents=[common], help="assign directions, export CSV")
-    sub.add_parser("similarity", parents=[common], help="population vs load similarity report")
-    sub.add_parser("demand-index", parents=[common], help="per-bus demand index CSV")
-    sub.add_parser("solve", parents=[common], help="orient, allocate, and solve the flow LP")
+    sub.add_parser("validate", parents=[data], help="load and report dataset findings")
+    sub.add_parser("orient", parents=[data, scenario, out], help="assign directions, export CSV")
+    sub.add_parser("similarity", parents=[data, out], help="population vs load similarity report")
+    sub.add_parser("demand-index", parents=[data, urban, out], help="per-bus demand index CSV")
+    sub.add_parser("solve", parents=solve, help="orient, allocate, and solve the flow LP")
 
-    p = sub.add_parser("diff", parents=[common], help="compare two orientation CSVs")
+    p = sub.add_parser("diff", help="compare two orientation CSVs")
     p.add_argument("baseline", type=Path)
     p.add_argument("other", type=Path)
 
-    sub.add_parser("render", parents=[common], help="emit geojson/dot/svg rendering")
+    p = sub.add_parser("render", parents=solve, help="emit geojson/dot/svg rendering")
+    p.add_argument("--format", choices=("geojson", "dot", "svg"), default="geojson", dest="fmt")
     return parser
 
 
-def _summary(objective=None, max_residual=None, lines=0, heuristic=0, changed=None) -> str:
-    def fmt(value) -> str:
-        return "nan" if value is None else repr(float(value))
-
+def _summary(solution=None, lines=0, heuristic=0, changed=None) -> str:
+    if solution is None:
+        objective = max_residual = "nan"
+    else:
+        objective = repr(float(solution.objective))
+        max_residual = repr(float(solution.max_residual))
     text = (
-        f"objective={fmt(objective)} max_residual={fmt(max_residual)} "
+        f"objective={objective} max_residual={max_residual} "
         f"lines={lines} directed_heuristic={heuristic}"
     )
     if changed is not None:
@@ -114,17 +117,29 @@ def _summary(objective=None, max_residual=None, lines=0, heuristic=0, changed=No
     return text
 
 
-def _snapshot_for(args, dataset):
+def _warn(messages) -> None:
+    for message in messages:
+        print(f"warning: {message}", file=sys.stderr)
+
+
+def _oriented(args, dataset):
+    grid = build_grid(dataset)
     if args.mode == MODE_TIME_POINT and args.snapshot is None:
         raise _UsageError("--mode timepoint requires --snapshot")
-    return make_snapshot(dataset, args.mode, args.snapshot)
+    if args.mode != MODE_TIME_POINT and args.snapshot is not None:
+        raise _UsageError("--snapshot requires --mode timepoint")
+    snapshot = make_snapshot(dataset, args.mode, args.snapshot)
+    return grid, snapshot, orient_all(grid, snapshot, args.seed)
 
 
-def _orientation_for(args, dataset):
-    grid = build_grid(dataset)
-    snapshot = _snapshot_for(args, dataset)
-    orientation = orient_all(grid, snapshot, args.seed)
-    return grid, snapshot, orientation
+def _solved(args, dataset):
+    """Orient, allocate demand and solve the flow LP; warnings in print order."""
+    grid, snapshot, orientation = _oriented(args, dataset)
+    index = allocate_demand_index(dataset, args.urban_share)
+    bus_load = estimate_bus_load(index, snapshot, orientation, grid)
+    solution = solve_flow_lp(orientation, grid, bus_load, snapshot)
+    warnings = (*snapshot.warnings, *bus_load.warnings, *orientation.warnings)
+    return grid, orientation, solution, warnings
 
 
 def _cmd_fetch(args) -> str:
@@ -154,10 +169,9 @@ def _cmd_validate(args) -> str:
 
 def _cmd_orient(args) -> str:
     dataset = load_dataset(args.data_dir)
-    grid, _snapshot, orientation = _orientation_for(args, dataset)
+    grid, _snapshot, orientation = _oriented(args, dataset)
     write_orientation_csv(orientation, grid, args.out or Path("orientation.csv"))
-    for warning in orientation.warnings:
-        print(f"warning: {warning}", file=sys.stderr)
+    _warn(orientation.warnings)
     if orientation.conflicts:
         print(
             "conflicting heuristics on: " + ", ".join(orientation.conflicts),
@@ -168,8 +182,10 @@ def _cmd_orient(args) -> str:
 
 def _yearly_loads(data_dir: Path, dataset):
     yearly = {
+        # Called through the module, as load_dataset calls it, so a wrapper
+        # put on gridtopo.ingest (a tracer, a call counter) sees these parses too.
         path.stem.split("_", 1)[1]: link_area_loads(
-            parse_hourly_loads(path), dataset.planning_areas, path
+            ingest.parse_hourly_loads(path), dataset.planning_areas, path
         )
         for path in sorted(data_dir.glob("HourlyLoad_*.csv"))
     }
@@ -189,28 +205,18 @@ def _cmd_demand_index(args) -> str:
     dataset = load_dataset(args.data_dir)
     index = allocate_demand_index(dataset, args.urban_share)
     write_demand_index_csv(index, args.out or Path("demand_index.csv"))
-    for flag in index.flags:
-        print(f"warning: {flag}", file=sys.stderr)
+    _warn(index.flags)
     return _summary(lines=len(dataset.lines))
 
 
 def _cmd_solve(args) -> str:
     dataset = load_dataset(args.data_dir)
-    grid, snapshot, orientation = _orientation_for(args, dataset)
-    index = allocate_demand_index(dataset, args.urban_share)
-    bus_load = estimate_bus_load(index, snapshot, orientation, grid)
-    solution = solve_flow_lp(orientation, grid, bus_load, snapshot)
+    grid, orientation, solution, warnings = _solved(args, dataset)
     out_dir = args.out or Path("solution")
     write_solution_files(solution, orientation, grid, out_dir)
     write_orientation_csv(orientation, grid, Path(out_dir) / "orientation.csv")
-    for warning in (*snapshot.warnings, *bus_load.warnings, *orientation.warnings):
-        print(f"warning: {warning}", file=sys.stderr)
-    return _summary(
-        objective=solution.objective,
-        max_residual=solution.max_residual,
-        lines=len(dataset.lines),
-        heuristic=orientation.heuristic_count,
-    )
+    _warn(warnings)
+    return _summary(solution, len(dataset.lines), orientation.heuristic_count)
 
 
 def _cmd_diff(args) -> str:
@@ -225,25 +231,17 @@ def _cmd_diff(args) -> str:
 
 def _cmd_render(args) -> str:
     dataset = load_dataset(args.data_dir)
-    grid, snapshot, orientation = _orientation_for(args, dataset)
-    solution = None
-    if args.fmt in ("geojson", "svg"):
-        index = allocate_demand_index(dataset, args.urban_share)
-        bus_load = estimate_bus_load(index, snapshot, orientation, grid)
-        solution = solve_flow_lp(orientation, grid, bus_load, snapshot)
-    if args.fmt == "geojson":
-        text = geojson_text(render_geojson(grid, orientation, solution, DEFAULT_STYLE))
-    elif args.fmt == "svg":
-        text = render_svg(grid, orientation, solution, DEFAULT_STYLE)
+    if args.fmt == "dot":
+        grid, _snapshot, orientation = _oriented(args, dataset)
+        solution, text = None, render_dot(grid, orientation)
     else:
-        text = render_dot(grid, orientation)
+        grid, orientation, solution, _warnings = _solved(args, dataset)
+        if args.fmt == "svg":
+            text = render_svg(grid, orientation, solution, DEFAULT_STYLE)
+        else:
+            text = geojson_text(render_geojson(grid, orientation, solution, DEFAULT_STYLE))
     write_text(args.out or Path(f"render.{args.fmt}"), text)
-    return _summary(
-        objective=None if solution is None else solution.objective,
-        max_residual=None if solution is None else solution.max_residual,
-        lines=len(dataset.lines),
-        heuristic=orientation.heuristic_count,
-    )
+    return _summary(solution, len(dataset.lines), orientation.heuristic_count)
 
 
 _COMMANDS = {

@@ -22,6 +22,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from urllib.parse import urlparse
 
+DOWNLOAD_TIMEOUT_S = 30.0  # socket timeout of each download, in seconds
+
 
 class FetchError(Exception):
     pass
@@ -93,15 +95,15 @@ def _sha256_file(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _download(entry: ManifestEntry, timeout: float) -> bytes:
+def _download(entry: ManifestEntry) -> bytes:
     try:
-        with urllib.request.urlopen(entry.url, timeout=timeout) as response:
+        with urllib.request.urlopen(entry.url, timeout=DOWNLOAD_TIMEOUT_S) as response:
             return response.read()
     except (urllib.error.URLError, OSError) as exc:
         raise NetworkError(entry.name, str(exc)) from exc
 
 
-def fetch_dataset(manifest_path, cache_dir, *, timeout: float = 30.0) -> list[Path]:
+def fetch_dataset(manifest_path, cache_dir) -> list[Path]:
     """Materialize every manifest entry in the cache; return the paths.
 
     Entries already cached with the expected content are returned
@@ -119,7 +121,7 @@ def fetch_dataset(manifest_path, cache_dir, *, timeout: float = 30.0) -> list[Pa
                 raise HashMismatch(entry.name, entry.sha256, actual, f"cached {target}")
             paths.append(target)
             continue
-        payload = _download(entry, timeout)
+        payload = _download(entry)
         actual = hashlib.sha256(payload).hexdigest()
         if actual != entry.sha256:
             raise HashMismatch(entry.name, entry.sha256, actual, "downloaded")

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import argparse
 import math
 from pathlib import Path
 from types import MappingProxyType
 
+from gridtopo.cli import _build_parser
 from gridtopo.direction import Direction, Orientation, Provenance
 from gridtopo.dispatch import BusLoad, GenerationSnapshot
 from gridtopo.geometry import PlanarPoint, PlanarPolygon
@@ -38,6 +40,16 @@ def write_latin1_substations(path, bad_row: int, newline: str = "\n", bom: bool 
     rows[bad_row - 1] = rows[bad_row - 1].replace(",", "\u00e9,", 1)
     text = newline.join(rows) + newline
     Path(path).write_bytes((b"\xef\xbb\xbf" if bom else b"") + text.encode("latin-1"))
+
+
+def command_flags() -> dict[str, set[str]]:
+    """Each ``gridtopo`` subcommand's option strings, ``--help`` aside."""
+    parser = _build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return {
+        name: {s for a in sub._actions for s in a.option_strings} - {"-h", "--help"}
+        for name, sub in commands.choices.items()
+    }
 
 
 def dummy_polygon() -> PlanarPolygon:

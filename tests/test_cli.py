@@ -11,7 +11,7 @@ import pytest
 import gridtopo
 from gridtopo.cli import cli_main
 
-from helpers import FIXTURES, write_latin1_substations
+from helpers import FIXTURES, command_flags, write_latin1_substations
 
 
 def run(capsys, *argv):
@@ -36,6 +36,67 @@ def test_no_subcommand_exits_1(capsys):
     code, _out, err = run(capsys)
     assert code == 1
     assert "usage" in err.lower()
+
+
+SOLVE_FLAGS = {"--data-dir", "--seed", "--mode", "--snapshot", "--urban-share", "--out"}
+
+#: The flags each command reads, and no others.
+COMMAND_FLAGS = {
+    "fetch": {"--data-dir", "--manifest", "--cache-dir"},
+    "validate": {"--data-dir"},
+    "orient": {"--data-dir", "--seed", "--mode", "--snapshot", "--out"},
+    "similarity": {"--data-dir", "--out"},
+    "demand-index": {"--data-dir", "--urban-share", "--out"},
+    "solve": SOLVE_FLAGS,
+    "diff": set(),
+    "render": SOLVE_FLAGS | {"--format"},
+}
+
+
+def test_each_command_takes_only_the_flags_it_reads():
+    assert command_flags() == COMMAND_FLAGS
+    assert sum(map(len, COMMAND_FLAGS.values())) == 27
+
+
+GRID30 = str(FIXTURES / "grid30")
+
+
+#: A flag each command would ignore, with arguments that are valid otherwise.
+IGNORED_FLAGS = [
+    (["validate", "--data-dir", GRID30, "--seed", "7"], "--seed"),
+    (["validate", "--data-dir", GRID30, "--out", "x"], "--out"),
+    (["diff", "--out", "x", "a.csv", "b.csv"], "--out"),
+    (["solve", "--data-dir", GRID30, "--format", "svg"], "--format"),
+    (["similarity", "--data-dir", GRID30, "--urban-share", "0.5"], "--urban-share"),
+    (["demand-index", "--data-dir", GRID30, "--mode", "max"], "--mode"),
+    (["orient", "--data-dir", GRID30, "--urban-share", "0.5"], "--urban-share"),
+    (["fetch", "--data-dir", GRID30, "--seed", "7"], "--seed"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, flag", IGNORED_FLAGS, ids=[f"{argv[0]} {flag}" for argv, flag in IGNORED_FLAGS]
+)
+def test_flag_a_command_does_not_read_exits_1(capsys, monkeypatch, tmp_path, argv, flag):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "usage" in err.lower()
+    assert f"error: unrecognized arguments: {flag}" in err
+
+
+@pytest.mark.parametrize("command", ["orient", "solve", "render"])
+def test_snapshot_without_timepoint_mode_exits_1(capsys, monkeypatch, tmp_path, command):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(
+        capsys, command, "--data-dir", GRID30, "--mode", "max",
+        "--snapshot", str(tmp_path / "missing.csv"),
+    )
+    assert code == 1
+    assert out == ""
+    assert "usage" in err.lower()
+    assert err.endswith("error: --snapshot requires --mode timepoint\n")
 
 
 def test_missing_dataset_is_validation_error(capsys, tmp_path):
@@ -183,7 +244,8 @@ def test_solve_timepoint_requires_snapshot(capsys):
         capsys, "solve", "--data-dir", str(FIXTURES / "pair"), "--mode", "timepoint"
     )
     assert code == 1
-    assert "--snapshot" in err
+    assert "usage" in err.lower()
+    assert err.endswith("error: --mode timepoint requires --snapshot\n")
 
 
 def test_solve_timepoint_mode(capsys, tmp_path):
@@ -273,6 +335,25 @@ def test_similarity_rows_per_year(capsys, tmp_path):
     assert rows[0] == "year,cosine,pearson"
     assert [r.split(",")[0] for r in rows[1:]] == ["2020", "2021", "2022"]
     assert "2021" in stdout
+
+
+def test_similarity_parses_hourly_loads_through_the_ingest_module(capsys, monkeypatch, tmp_path):
+    # A wrapper on gridtopo.ingest (a tracer, this counter) sees every parse.
+    import gridtopo.ingest as ingest
+
+    parse, parsed = ingest.parse_hourly_loads, []
+
+    def counted(path):
+        parsed.append(Path(path).name)
+        return parse(path)
+
+    monkeypatch.setattr(ingest, "parse_hourly_loads", counted)
+    out = tmp_path / "similarity.csv"
+    code, _stdout, _err = run(capsys, "similarity", "--data-dir", GRID30, "--out", str(out))
+    assert code == 0
+    assert sorted(parsed) == [
+        "HourlyLoad.csv", "HourlyLoad_2020.csv", "HourlyLoad_2021.csv", "HourlyLoad_2022.csv"
+    ]
 
 
 def test_similarity_falls_back_to_primary_load_file(capsys, tmp_path):

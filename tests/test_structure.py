@@ -14,14 +14,21 @@ submodule, so a list of exports would only restate the module.
 Every module-level function and class, and every method, is named
 somewhere in the package, so no definition lives only for the tests.
 The few that stay for other callers are listed with their reason.
+
+At module level the test suites import only the standard library, the
+repository's own code and what the ``test`` extra installs, so ``pip
+install -e ".[test]"`` is enough to collect every test.
 """
 
 import ast
+import re
+import sys
 from pathlib import Path
 
 import gridtopo
 
 PACKAGE = Path(gridtopo.__file__).parent
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def violations(source: str, name: str) -> list[str]:
@@ -224,3 +231,49 @@ def test_dead_code_guard_flags_unnamed_definitions():
         "b.py": "used()\nC().called()\nx.prop\n",
     }
     assert unreferenced_definitions(sources) == ["a.py:unused", "a.py:C.dead", "a.py:Dead"]
+
+
+def imported_packages(source: str, name: str) -> set[str]:
+    """Top-level package of every absolute module-level import in
+    ``source``. An import inside a function runs only with that test,
+    which can skip itself first (``pytest.importorskip``)."""
+    found = set()
+    for node in ast.parse(source, filename=name).body:
+        if isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def extra_packages() -> set[str]:
+    """Import names of the requirements in pyproject's ``test`` extra."""
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    extra = re.search(r"^test = \[(.*?)\]", text, re.MULTILINE | re.DOTALL).group(1)
+    return {
+        re.match(r"[A-Za-z0-9_.-]+", requirement).group().lower().replace("-", "_")
+        for requirement in re.findall(r'"([^"]+)"', extra)
+    }
+
+
+def test_suites_import_only_what_the_test_extra_installs():
+    allowed = set(sys.stdlib_module_names) | {"gridtopo", "perfbench", "helpers"}
+    allowed |= extra_packages()
+    found = []
+    for directory in (ROOT / "tests", ROOT / "perfbench" / "tests"):
+        for path in sorted(directory.glob("*.py")):
+            imported = imported_packages(path.read_text(encoding="utf-8"), path.name)
+            found += [f"{path.relative_to(ROOT)}: {m}" for m in sorted(imported - allowed)]
+    assert found == []
+
+
+def test_import_guard_reads_every_module_level_absolute_import():
+    source = (
+        "import a.b as c, d\n"
+        "from e.f import g\n"
+        "from . import h\n"
+        "from .i import j\n"
+        "def k():\n"
+        "    import l\n"
+    )
+    assert imported_packages(source, "m.py") == {"a", "d", "e"}
