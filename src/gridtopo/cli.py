@@ -86,19 +86,28 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("fetch", parents=[data], help="download manifest datasets")
     p.add_argument("--manifest", type=Path, help="manifest file (default: <data-dir>/manifest.txt)")
     p.add_argument("--cache-dir", type=Path, help="cache directory (default: <data-dir>)")
-
-    sub.add_parser("validate", parents=[data], help="load and report dataset findings")
-    sub.add_parser("orient", parents=[data, scenario, out], help="assign directions, export CSV")
-    sub.add_parser("similarity", parents=[data, out], help="population vs load similarity report")
-    sub.add_parser("demand-index", parents=[data, urban, out], help="per-bus demand index CSV")
-    sub.add_parser("solve", parents=solve, help="orient, allocate, and solve the flow LP")
-
+    p.set_defaults(run=_cmd_fetch)
+    p = sub.add_parser("validate", parents=[data], help="load and report dataset findings")
+    p.set_defaults(run=_cmd_validate)
+    p = sub.add_parser(
+        "orient", parents=[data, scenario, out], help="assign directions, export CSV"
+    )
+    p.set_defaults(run=_cmd_orient)
+    p = sub.add_parser(
+        "similarity", parents=[data, out], help="population vs load similarity report"
+    )
+    p.set_defaults(run=_cmd_similarity)
+    p = sub.add_parser("demand-index", parents=[data, urban, out], help="per-bus demand index CSV")
+    p.set_defaults(run=_cmd_demand_index)
+    p = sub.add_parser("solve", parents=solve, help="orient, allocate, and solve the flow LP")
+    p.set_defaults(run=_cmd_solve)
     p = sub.add_parser("diff", help="compare two orientation CSVs")
     p.add_argument("baseline", type=Path)
     p.add_argument("other", type=Path)
-
+    p.set_defaults(run=_cmd_diff)
     p = sub.add_parser("render", parents=solve, help="emit geojson/dot/svg rendering")
     p.add_argument("--format", choices=("geojson", "dot", "svg"), default="geojson", dest="fmt")
+    p.set_defaults(run=_cmd_render)
     return parser
 
 
@@ -117,9 +126,13 @@ def _summary(solution=None, lines=0, heuristic=0, changed=None) -> str:
     return text
 
 
-def _warn(messages) -> None:
-    for message in messages:
-        print(f"warning: {message}", file=sys.stderr)
+def _warnings(*stages) -> list[str]:
+    return [f"warning: {message}" for stage in stages for message in stage.warnings]
+
+
+def _warn(lines) -> None:
+    """The one stderr print of a successful run, after its outputs are written."""
+    sys.stderr.writelines(f"{line}\n" for line in lines)
 
 
 def _oriented(args, dataset):
@@ -129,17 +142,20 @@ def _oriented(args, dataset):
     if args.mode != MODE_TIME_POINT and args.snapshot is not None:
         raise _UsageError("--snapshot requires --mode timepoint")
     snapshot = make_snapshot(dataset, args.mode, args.snapshot)
-    return grid, snapshot, orient_all(grid, snapshot, args.seed)
+    orientation = orient_all(grid, snapshot, args.seed)
+    warnings = _warnings(snapshot, orientation)
+    if orientation.conflicts:
+        warnings.append("conflicting heuristics on: " + ", ".join(orientation.conflicts))
+    return grid, snapshot, orientation, warnings
 
 
 def _solved(args, dataset):
-    """Orient, allocate demand and solve the flow LP; warnings in print order."""
-    grid, snapshot, orientation = _oriented(args, dataset)
+    """Orient, allocate demand and solve the flow LP; stderr lines in stage order."""
+    grid, snapshot, orientation, warnings = _oriented(args, dataset)
     index = allocate_demand_index(dataset, args.urban_share)
     bus_load = estimate_bus_load(index, snapshot, orientation, grid)
     solution = solve_flow_lp(orientation, grid, bus_load, snapshot)
-    warnings = (*snapshot.warnings, *bus_load.warnings, *orientation.warnings)
-    return grid, orientation, solution, warnings
+    return grid, orientation, solution, warnings + _warnings(index, bus_load)
 
 
 def _cmd_fetch(args) -> str:
@@ -169,14 +185,9 @@ def _cmd_validate(args) -> str:
 
 def _cmd_orient(args) -> str:
     dataset = load_dataset(args.data_dir)
-    grid, _snapshot, orientation = _oriented(args, dataset)
+    grid, _snapshot, orientation, warnings = _oriented(args, dataset)
     write_orientation_csv(orientation, grid, args.out or Path("orientation.csv"))
-    _warn(orientation.warnings)
-    if orientation.conflicts:
-        print(
-            "conflicting heuristics on: " + ", ".join(orientation.conflicts),
-            file=sys.stderr,
-        )
+    _warn(warnings)
     return _summary(lines=len(dataset.lines), heuristic=orientation.heuristic_count)
 
 
@@ -205,7 +216,7 @@ def _cmd_demand_index(args) -> str:
     dataset = load_dataset(args.data_dir)
     index = allocate_demand_index(dataset, args.urban_share)
     write_demand_index_csv(index, args.out or Path("demand_index.csv"))
-    _warn(index.flags)
+    _warn(_warnings(index))
     return _summary(lines=len(dataset.lines))
 
 
@@ -232,28 +243,17 @@ def _cmd_diff(args) -> str:
 def _cmd_render(args) -> str:
     dataset = load_dataset(args.data_dir)
     if args.fmt == "dot":
-        grid, _snapshot, orientation = _oriented(args, dataset)
+        grid, _snapshot, orientation, warnings = _oriented(args, dataset)
         solution, text = None, render_dot(grid, orientation)
     else:
-        grid, orientation, solution, _warnings = _solved(args, dataset)
+        grid, orientation, solution, warnings = _solved(args, dataset)
         if args.fmt == "svg":
             text = render_svg(grid, orientation, solution, DEFAULT_STYLE)
         else:
             text = geojson_text(render_geojson(grid, orientation, solution, DEFAULT_STYLE))
     write_text(args.out or Path(f"render.{args.fmt}"), text)
+    _warn(warnings)
     return _summary(solution, len(dataset.lines), orientation.heuristic_count)
-
-
-_COMMANDS = {
-    "fetch": _cmd_fetch,
-    "validate": _cmd_validate,
-    "orient": _cmd_orient,
-    "similarity": _cmd_similarity,
-    "demand-index": _cmd_demand_index,
-    "solve": _cmd_solve,
-    "diff": _cmd_diff,
-    "render": _cmd_render,
-}
 
 
 def cli_main(argv=None) -> int:
@@ -262,7 +262,7 @@ def cli_main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.command is None:
             raise _UsageError("a subcommand is required")
-        print(_COMMANDS[args.command](args))
+        print(args.run(args))
         return 0
     except _UsageError as exc:
         print(parser.format_usage(), file=sys.stderr)

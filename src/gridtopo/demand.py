@@ -108,7 +108,7 @@ class DemandIndex:
     """
 
     values: Mapping[str, float]
-    flags: tuple[str, ...] = ()
+    warnings: tuple[str, ...] = ()
 
 
 def allocate_demand_index(
@@ -119,14 +119,14 @@ def allocate_demand_index(
     Urban buses share ``urban_share * load`` evenly; non-urban buses
     share the rest. When an area has buses of only one category, the
     other category's share is reassigned to it so the area's load mass
-    is conserved. Areas without buses (and buses without an area) are
-    flagged rather than guessed at.
+    is conserved. Areas without buses (and buses without an area) get a
+    warning rather than a guess.
     """
     if not 0.0 <= urban_share <= 1.0:
         raise ValueError(f"urban_share must be within [0, 1], got {urban_share}")
 
     values: dict[str, float] = {b.id: 0.0 for b in dataset.buses}
-    flags: list[str] = []
+    warnings: list[str] = []
 
     by_area: dict[str, list] = {a.id: [] for a in dataset.planning_areas}
     homeless = 0
@@ -136,12 +136,12 @@ def allocate_demand_index(
         else:
             by_area[bus.planning_area_id].append(bus)
     if homeless:
-        flags.append(f"{homeless} bus(es) outside every planning area get index 0")
+        warnings.append(f"{homeless} bus(es) outside every planning area get index 0")
 
     for area in dataset.planning_areas:
         members = by_area[area.id]
         if not members:
-            flags.append(f"planning area {area.id} has no buses; its load is unallocated")
+            warnings.append(f"planning area {area.id} has no buses; its load is unallocated")
             continue
         urban = [b for b in members if b.is_urban]
         rural = [b for b in members if not b.is_urban]
@@ -150,11 +150,11 @@ def allocate_demand_index(
         if not urban:
             share_rural += share_urban
             share_urban = 0.0
-            flags.append(f"planning area {area.id}: urban share reassigned (no urban buses)")
+            warnings.append(f"planning area {area.id}: urban share reassigned (no urban buses)")
         elif not rural:
             share_urban += share_rural
             share_rural = 0.0
-            flags.append(
+            warnings.append(
                 f"planning area {area.id}: non-urban share reassigned (no non-urban buses)"
             )
         for bus in urban:
@@ -162,7 +162,7 @@ def allocate_demand_index(
         for bus in rural:
             values[bus.id] = share_rural / len(rural)
 
-    return DemandIndex(values=MappingProxyType(values), flags=tuple(flags))
+    return DemandIndex(values=MappingProxyType(values), warnings=tuple(warnings))
 
 
 def write_demand_index_csv(index: DemandIndex, path) -> None:

@@ -10,8 +10,13 @@ import pytest
 
 import gridtopo
 from gridtopo.cli import cli_main
+from gridtopo.demand import allocate_demand_index
+from gridtopo.direction import orient_all
+from gridtopo.dispatch import estimate_bus_load, make_snapshot
+from gridtopo.graph import build_grid
+from gridtopo.ingest import load_dataset
 
-from helpers import FIXTURES, command_flags, write_latin1_substations
+from helpers import FIXTURE_NAMES, FIXTURES, command_flags, write_latin1_substations
 
 
 def run(capsys, *argv):
@@ -97,6 +102,72 @@ def test_snapshot_without_timepoint_mode_exits_1(capsys, monkeypatch, tmp_path, 
     assert out == ""
     assert "usage" in err.lower()
     assert err.endswith("error: --snapshot requires --mode timepoint\n")
+
+
+def stage_stderr(data: Path, stages: set[str], snapshot_csv=None) -> str:
+    """The warnings of ``stages``, run through the library, in stage order."""
+    dataset = load_dataset(data)
+    grid = build_grid(dataset)
+    snapshot = make_snapshot(dataset, "max" if snapshot_csv is None else "timepoint", snapshot_csv)
+    orientation = orient_all(grid, snapshot)
+    index = allocate_demand_index(dataset)
+    bus_load = estimate_bus_load(index, snapshot, orientation, grid)
+    lines = []
+    if "orient" in stages:
+        lines += [f"warning: {m}" for m in (*snapshot.warnings, *orientation.warnings)]
+        if orientation.conflicts:
+            lines.append("conflicting heuristics on: " + ", ".join(orientation.conflicts))
+    if "demand" in stages:
+        lines += [f"warning: {m}" for m in index.warnings]
+    if "bus-load" in stages:
+        lines += [f"warning: {m}" for m in bus_load.warnings]
+    return "".join(f"{line}\n" for line in lines)
+
+
+#: Each command that runs a warning stage, its extra arguments, and those stages.
+WARNING_RUNS = {
+    "orient": (["orient"], {"orient"}),
+    "solve": (["solve"], {"orient", "demand", "bus-load"}),
+    "render-geojson": (["render", "--format", "geojson"], {"orient", "demand", "bus-load"}),
+    "render-dot": (["render", "--format", "dot"], {"orient"}),
+    "render-svg": (["render", "--format", "svg"], {"orient", "demand", "bus-load"}),
+    "demand-index": (["demand-index"], {"demand"}),
+}
+WARNING_CASES = [
+    (fixture, run_name, mode)
+    for fixture in FIXTURE_NAMES
+    for run_name in WARNING_RUNS
+    for mode in ("max", "timepoint")
+    if mode == "max"
+    or (run_name in ("orient", "solve") and (FIXTURES / fixture / "Snapshot.csv").is_file())
+]
+
+
+@pytest.mark.parametrize(
+    "fixture, run_name, mode", WARNING_CASES, ids=["-".join(case) for case in WARNING_CASES]
+)
+def test_stderr_holds_the_warnings_of_each_stage_the_command_runs(
+    capsys, monkeypatch, tmp_path, fixture, run_name, mode
+):
+    monkeypatch.chdir(tmp_path)
+    data = FIXTURES / fixture
+    argv, stages = WARNING_RUNS[run_name]
+    snapshot_csv = data / "Snapshot.csv" if mode == "timepoint" else None
+    if snapshot_csv is not None:
+        argv = [*argv, "--mode", "timepoint", "--snapshot", str(snapshot_csv)]
+    code, _out, err = run(capsys, *argv, "--data-dir", str(data))
+    assert code == 0
+    assert err == stage_stderr(data, stages, snapshot_csv)
+
+
+def test_orient_timepoint_prints_the_snapshot_warning(capsys, tmp_path):
+    code, _out, err = run(
+        capsys, "orient", "--data-dir", GRID30, "--mode", "timepoint",
+        "--snapshot", str(FIXTURES / "grid30" / "Snapshot.csv"),
+        "--out", str(tmp_path / "orientation.csv"),
+    )
+    assert code == 0
+    assert err == "warning: generator G03 output 260.0 exceeds capacity 250.0; accepted\n"
 
 
 def test_missing_dataset_is_validation_error(capsys, tmp_path):

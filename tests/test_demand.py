@@ -147,7 +147,7 @@ def test_single_category_reassignment():
     dataset = toy_dataset([("u1", 138, "A1", True)], area_specs=[("A1", 50.0)])
     index = allocate_demand_index(dataset, 0.848)
     assert index.values["u1"] == pytest.approx(50.0)
-    assert any("reassigned" in flag for flag in index.flags)
+    assert any("reassigned" in warning for warning in index.warnings)
 
     dataset = toy_dataset(
         [("r1", 138, "A1", False), ("r2", 138, "A1", False)],
@@ -173,7 +173,7 @@ def test_area_without_buses_is_flagged():
         area_specs=[("A1", 10.0), ("A9", 99.0)],
     )
     index = allocate_demand_index(dataset)
-    assert any("A9" in flag for flag in index.flags)
+    assert any("A9" in warning for warning in index.warnings)
     assert math.fsum(index.values.values()) == pytest.approx(10.0)
 
 
@@ -184,7 +184,7 @@ def test_bus_outside_areas_gets_zero_and_flag():
     )
     index = allocate_demand_index(dataset)
     assert index.values["lost"] == 0.0
-    assert any("outside" in flag for flag in index.flags)
+    assert any("outside" in warning for warning in index.warnings)
 
 
 def test_invalid_urban_share_rejected():

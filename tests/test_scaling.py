@@ -1,10 +1,15 @@
 """Scaling guards: ingest-to-orientation work and CSV loading must grow
-about linearly."""
+about linearly, and a paper-scale solve through the CLI stays fast."""
 
 import gc
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
+import gridtopo
 from gridtopo import ingest
 from gridtopo.direction import orient_all
 from gridtopo.dispatch import make_snapshot
@@ -65,3 +70,20 @@ def test_load_dataset_from_csv_scales_linearly(tmp_path):
     _write_dataset(planar_lattice_records(random.Random(5), 39, 39), small)
     _write_dataset(planar_lattice_records(random.Random(5), 78, 78), large)
     _assert_about_linear(load_dataset, small, large)
+
+
+def test_paper_scale_solve_through_the_cli_takes_under_a_second(tmp_path):
+    # 25 x 25 = 625 buses and 875 lines, about the paper's 855. The
+    # wall time counts the fresh interpreter's start and imports too.
+    data, out = tmp_path / "data", tmp_path / "solution"
+    _write_dataset(planar_lattice_records(random.Random(5), 25, 25), data)
+    src = str(Path(gridtopo.__file__).resolve().parents[1])
+    argv = [sys.executable, "-m", "gridtopo", "solve", "--data-dir", str(data), "--out", str(out)]
+    started = time.perf_counter()
+    result = subprocess.run(
+        argv, env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60
+    )
+    elapsed = time.perf_counter() - started
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("objective=")
+    assert elapsed < 1.0, f"paper-scale solve took {elapsed:.3f} s"
