@@ -347,6 +347,6 @@ def read_orientation_csv(path) -> tuple[dict[str, tuple[str, str]], dict[str, st
     order. A malformed header, a row with the wrong number of fields or
     a repeated ``line_id`` raises an IngestError naming the file and row.
     """
-    rows = _read_rows(path, _ORIENTATION_COLUMNS, dict, key="line_id", kind="line")
-    endpoints = {row["line_id"]: (row["from_bus"], row["to_bus"]) for row in rows}
-    return endpoints, {row["line_id"]: row["provenance"] for row in rows}
+    rows = _read_rows(path, _ORIENTATION_COLUMNS, tuple, kind="line")
+    endpoints = {line: (from_bus, to_bus) for line, from_bus, to_bus, _ in rows}
+    return endpoints, {line: provenance for line, _, _, provenance in rows}

@@ -20,9 +20,10 @@ Snapshot.csv               ``generator_id,output_mw``
 
 Parsers are pure functions of file bytes and fail fast: every
 row-level error names the file and the physical row (the header is row
-1) of the offending record. Each parser is a converter from one raw row
-to one record, run by :func:`_read_rows`, which alone attaches that
-location. Cross-file references (line endpoints, generator buses, load
+1) of the offending record. Each parser is a converter from one raw row,
+the ``csv.reader`` list read by the fixed column positions of its
+schema, to one record, run by :func:`_read_rows`, which alone attaches
+that location. Cross-file references (line endpoints, generator buses, load
 area ids) are checked at link time in :func:`build_dataset`, not at
 parse time.
 """
@@ -31,7 +32,9 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import re
+from collections import defaultdict
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -174,17 +177,18 @@ class GridDataset:
 # Low-level CSV helpers
 
 def _read_rows(
-    path, required: Sequence[str], make, optional: Sequence[str] = (), *, key=None, kind=""
+    path, required: Sequence[str], make, optional: Sequence[str] = (), *, kind=""
 ) -> list:
     """Validate the header, then return ``[make(row) for each row]``.
 
-    Each row reaches ``make`` as ``{column: raw}``. The header must list
-    the required columns in order, optionally followed (in order) by a
-    prefix-free subset of the optional ones, and every row must have as
-    many fields. Blank lines are skipped. A leading BOM (common in
-    spreadsheet exports) is tolerated. The ``key`` column, if given, is
-    stripped and must be non-empty and unique: a repeat raises
-    DuplicateId naming the ``kind`` of record.
+    Each row reaches ``make`` as the ``csv.reader`` list of raw strings.
+    The header must list the required columns in order, optionally
+    followed (in order) by a prefix-free subset of the optional ones, so
+    every column has a fixed position, and every row must have as many
+    fields. Blank lines are skipped. A leading BOM (common in spreadsheet
+    exports) is tolerated. If ``kind`` is given, column 0 is the key: it
+    is stripped in place and must be non-empty and unique, and a repeat
+    raises DuplicateId naming the ``kind`` of record.
 
     An IngestError raised here or by ``make`` is raised again with the
     file and the physical 1-based line on which the record starts (the
@@ -225,13 +229,12 @@ def _read_rows(
                     continue
                 if len(row) != len(header):
                     raise InvalidValue(f"expected {len(header)} fields, found {len(row)}")
-                record = dict(zip(header, row))
-                if key is not None:
-                    record_id = record[key] = _require_id(record[key], key)
+                if kind:
+                    record_id = row[0] = _require_id(row[0], header[0])
                     if record_id in seen:
                         raise DuplicateId(f"duplicate {kind} id {record_id}")
                     seen.add(record_id)
-                records.append(make(record))
+                records.append(make(row))
         except IngestError as exc:
             raise type(exc)(str(exc), path=path, row=lineno) from None
         except csv.Error as exc:
@@ -265,7 +268,7 @@ def _float(raw: str, column: str, cls=NonNumericValue) -> float:
         value = float(raw)
     except ValueError:
         raise cls(f"non-numeric {column}: {raw!r}") from None
-    if value != value or value in (float("inf"), float("-inf")):
+    if not math.isfinite(value):
         raise cls(f"non-finite {column}: {raw!r}")
     return value
 
@@ -284,22 +287,22 @@ def _require_id(raw: str, column: str) -> str:
     return value
 
 
-def _nonnegative(row: Mapping[str, str], column: str, parse=_float):
-    value = parse(row[column], column)
+def _nonnegative(raw: str, column: str, parse=_float):
+    value = parse(raw, column)
     if value < 0:
         raise InvalidValue(f"{column} must be >= 0, got {value}")
     return value
 
 
-def _voltage(row: Mapping[str, str]) -> float:
-    kv = _float(row["voltage_kv"], "voltage_kv", cls=NonNumericVoltage)
+def _voltage(raw: str) -> float:
+    kv = _float(raw, "voltage_kv", cls=NonNumericVoltage)
     if kv <= 0:
         raise InvalidValue(f"voltage_kv must be > 0, got {kv}")
     return kv
 
 
-def _point(row: Mapping[str, str]) -> PlanarPoint:
-    return PlanarPoint(_float(row["x"], "x"), _float(row["y"], "y"))
+def _point(x: str, y: str) -> PlanarPoint:
+    return PlanarPoint(_float(x, "x"), _float(y, "y"))
 
 
 def _fmt(value: float) -> str:
@@ -330,51 +333,50 @@ def format_wkt_linestring(points: Iterable[PlanarPoint]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Parsers: each one converts a raw row to a record, checking its fields
-# in a fixed order, so a row with several faults reports the same one.
+# Parsers: each one converts a raw row to a record, reading its schema's
+# columns by position and checking its fields in a fixed order, so a row
+# with several faults reports the same one.
 
 def _bus(row) -> BusRecord:
-    kv = _voltage(row)
-    return BusRecord(row["id"], row["name"], _point(row), kv)
+    kv = _voltage(row[4])
+    return BusRecord(row[0], row[1], _point(row[2], row[3]), kv)
 
 
 def parse_buses(path) -> list[BusRecord]:
     """Parse Substation.csv. Duplicate ids abort with the row number."""
-    return _read_rows(path, ("id", "name", "x", "y", "voltage_kv"), _bus, key="id", kind="bus")
+    return _read_rows(path, ("id", "name", "x", "y", "voltage_kv"), _bus, kind="bus")
 
 
 def _line(row) -> LineRecord:
-    bus_a = _require_id(row["bus_a"], "bus_a")
-    bus_b = _require_id(row["bus_b"], "bus_b")
+    bus_a = _require_id(row[1], "bus_a")
+    bus_b = _require_id(row[2], "bus_b")
     if bus_a == bus_b:
-        raise InvalidValue(f"line {row['id']} is a self-loop on {bus_a}")
-    kv = _voltage(row)
+        raise InvalidValue(f"line {row[0]} is a self-loop on {bus_a}")
+    kv = _voltage(row[3])
     geometry = None
-    raw_wkt = row.get("wkt_geometry", "").strip()
+    raw_wkt = row[4].strip() if len(row) > 4 else ""
     if raw_wkt:
         try:
             geometry = parse_wkt_linestring(raw_wkt)
         except ValueError as exc:
             raise InvalidValue(str(exc)) from None
-    return LineRecord(row["id"], bus_a, bus_b, kv, geometry)
+    return LineRecord(row[0], bus_a, bus_b, kv, geometry)
 
 
 def parse_lines(path) -> list[LineRecord]:
     return _read_rows(
-        path, ("id", "bus_a", "bus_b", "voltage_kv"), _line, ("wkt_geometry",),
-        key="id", kind="line",
+        path, ("id", "bus_a", "bus_b", "voltage_kv"), _line, ("wkt_geometry",), kind="line"
     )
 
 
 def _generator(row) -> GeneratorRecord:
-    cap = _nonnegative(row, "max_capacity_mw")
-    return GeneratorRecord(row["id"], _require_id(row["bus_id"], "bus_id"), cap, row["fuel_type"])
+    cap = _nonnegative(row[2], "max_capacity_mw")
+    return GeneratorRecord(row[0], _require_id(row[1], "bus_id"), cap, row[3])
 
 
 def parse_generators(path) -> list[GeneratorRecord]:
     return _read_rows(
-        path, ("id", "bus_id", "max_capacity_mw", "fuel_type"), _generator,
-        key="id", kind="generator",
+        path, ("id", "bus_id", "max_capacity_mw", "fuel_type"), _generator, kind="generator"
     )
 
 
@@ -385,19 +387,19 @@ def _parse_border_rows(path, id_column: str, make) -> list:
     """Read one of the two border files into ``make(id, name, polygon)``
     per shape, in file order."""
     # vertices[id] -> {ring_index: {vertex_index: point}}, ids in file order
-    vertices: dict[str, dict[int, dict[int, PlanarPoint]]] = {}
+    vertices: dict[str, dict[int, dict[int, PlanarPoint]]] = defaultdict(lambda: defaultdict(dict))
     names: dict[str, str] = {}
 
     def add_vertex(row) -> None:
-        shape_id = _require_id(row[id_column], id_column)
-        ring_i = _int(row["ring_index"], "ring_index")
-        vertex_i = _int(row["vertex_index"], "vertex_index")
+        shape_id = _require_id(row[0], id_column)
+        ring_i = _int(row[2], "ring_index")
+        vertex_i = _int(row[3], "vertex_index")
         if ring_i < 0 or vertex_i < 0:
             raise InvalidValue("negative ring/vertex index")
-        point = _point(row)
-        if names.setdefault(shape_id, row["name"]) != row["name"]:
+        point = _point(row[4], row[5])
+        if names.setdefault(shape_id, row[1]) != row[1]:
             raise InvalidValue(f"{id_column} {shape_id} listed under two names")
-        ring = vertices.setdefault(shape_id, {}).setdefault(ring_i, {})
+        ring = vertices[shape_id][ring_i]
         if vertex_i in ring:
             raise DuplicateId(f"duplicate vertex {vertex_i} in ring {ring_i} of {shape_id}")
         ring[vertex_i] = point
@@ -406,10 +408,7 @@ def _parse_border_rows(path, id_column: str, make) -> list:
 
     shapes = []
     for shape_id, shape in vertices.items():
-        rings = []
-        for ring_i in sorted(shape):
-            ring = shape[ring_i]
-            rings.append(tuple(ring[i] for i in sorted(ring)))
+        rings = [tuple(ring[i] for i in sorted(ring)) for _, ring in sorted(shape.items())]
         try:
             polygon = PlanarPolygon(tuple(rings))
         except ValueError as exc:
@@ -428,8 +427,8 @@ def parse_city_polygons(path) -> list[CityPolygon]:
 
 
 def _population_point(row) -> PopulationPoint:
-    pop = _nonnegative(row, "population", _int)
-    return PopulationPoint(_require_id(row["city_id"], "city_id"), _point(row), pop)
+    pop = _nonnegative(row[3], "population", _int)
+    return PopulationPoint(_require_id(row[0], "city_id"), _point(row[1], row[2]), pop)
 
 
 def parse_population_points(path) -> list[PopulationPoint]:
@@ -438,27 +437,19 @@ def parse_population_points(path) -> list[PopulationPoint]:
 
 def parse_hourly_loads(path) -> list[AreaLoad]:
     return _read_rows(
-        path,
-        ("area_id", "name", "avg_hourly_load_mw"),
-        lambda row: AreaLoad(
-            row["area_id"], row["name"], _nonnegative(row, "avg_hourly_load_mw")
-        ),
-        key="area_id",
+        path, ("area_id", "name", "avg_hourly_load_mw"),
+        lambda row: AreaLoad(row[0], row[1], _nonnegative(row[2], "avg_hourly_load_mw")),
         kind="area",
     )
 
 
 def parse_snapshot_outputs(path) -> dict[str, float]:
     """Parse Snapshot.csv into generator id -> output (MW)."""
-    return dict(
-        _read_rows(
-            path,
-            ("generator_id", "output_mw"),
-            lambda row: (row["generator_id"], _nonnegative(row, "output_mw")),
-            key="generator_id",
-            kind="generator",
-        )
+    rows = _read_rows(
+        path, ("generator_id", "output_mw"),
+        lambda row: (row[0], _nonnegative(row[1], "output_mw")), kind="generator",
     )
+    return dict(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -578,6 +569,20 @@ def serialize_snapshot_outputs(outputs: Mapping[str, float]) -> str:
 # ---------------------------------------------------------------------------
 # Linking, region assignment, validation
 
+def _holding(point: PlanarPoint, shapes: Sequence[PlanningArea | CityPolygon]) -> list:
+    """``(shape, locate(point, shape.boundary))`` for each of ``shapes``
+    whose boundary holds ``point``, in order. Nearly every shape misses
+    every point, so one whose bounding box misses it (inclusive, so a
+    boundary point is kept) gets no :func:`locate` call, and a miss
+    builds no tuple."""
+    x, y = point.x, point.y
+    return [
+        (s, w) for s in shapes
+        if (box := s.boundary.bbox)[0] <= x <= box[2] and box[1] <= y <= box[3]
+        and (w := locate(point, s.boundary))
+    ]
+
+
 def _area_of(
     point: PlanarPoint, planning_areas: Sequence[PlanningArea], subject: str
 ) -> PlanningArea | None:
@@ -588,8 +593,7 @@ def _area_of(
     boundaries, to the lowest area id. Two areas that both hold it
     strictly inside overlap, which raises OverlappingAreas.
     """
-    # Misses build no tuple: nearly every area misses every point.
-    where = [(a, w) for a in planning_areas if (w := locate(point, a.boundary))]
+    where = _holding(point, planning_areas)
     if len(where) <= 1:
         return where[0][0] if where else None
     interior = [a for a, w in where if w != BOUNDARY]
@@ -617,7 +621,7 @@ def assign_regions(
     for bus in buses:
         area = _area_of(bus.location, planning_areas, f"bus {bus.id}")
         area_id = area.id if area is not None else None
-        urban = any(locate(bus.location, city.boundary) for city in city_polygons)
+        urban = bool(_holding(bus.location, city_polygons))
         annotated.append(
             BusRecord(bus.id, bus.name, bus.location, bus.voltage_kv, area_id, urban)
         )
@@ -716,12 +720,7 @@ class ValidationReport:
 
     @property
     def is_clean(self) -> bool:
-        return not (
-            self.unassigned_buses
-            or self.isolated_buses
-            or self.voltage_anomalies
-            or self.duplicate_geometry
-        )
+        return not self.entries()
 
     def entries(self) -> list[str]:
         lines = []

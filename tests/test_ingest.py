@@ -1,14 +1,16 @@
 import csv
+import hashlib
+import math
 import random
 import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gridtopo.direction import read_orientation_csv
-from gridtopo.geometry import PlanarPoint, PlanarPolygon
+from gridtopo.geometry import INSIDE, PlanarPoint, PlanarPolygon, locate
 from gridtopo.ingest import (
     AreaLoad,
     BusRecord,
@@ -25,6 +27,7 @@ from gridtopo.ingest import (
     PlanningArea,
     PopulationPoint,
     UnexpectedColumn,
+    _area_of,
     assign_regions,
     build_dataset,
     format_wkt_linestring,
@@ -447,6 +450,85 @@ def test_assign_regions_is_order_independent():
     assert got == expected
 
 
+def _located_area(point, areas, subject):
+    """The README's border rule over one plain ``locate`` call per area."""
+    where = [(a, w) for a in areas if (w := locate(point, a.boundary))]
+    interior = [a for a, w in where if w == INSIDE]
+    if len(interior) > 1:
+        ids = ", ".join(sorted(a.id for a, _ in where))
+        raise OverlappingAreas(f"{subject} lies in planning areas {ids}")
+    return interior[0] if interior else min((a for a, _ in where), key=lambda a: a.id, default=None)
+
+
+def _probe_points(polygons):
+    """Where a bounding-box test can go wrong: every ring vertex, the
+    midpoint of each bbox edge (on a tile, the middle of a side that its
+    neighbour shares), and one float step outside each of those."""
+    points = [p for polygon in polygons for ring in polygon.rings for p in ring]
+    for x0, y0, x1, y1 in (polygon.bbox for polygon in polygons):
+        xm, ym = (x0 + x1) / 2, (y0 + y1) / 2
+        points += [P(x0, ym), P(x1, ym), P(xm, y0), P(xm, y1)]
+        points += [
+            P(math.nextafter(x0, -math.inf), ym), P(math.nextafter(x1, math.inf), ym),
+            P(xm, math.nextafter(y0, -math.inf)), P(xm, math.nextafter(y1, math.inf)),
+        ]
+    return points
+
+
+_CUTS = st.lists(st.integers(-4, 4), min_size=2, max_size=4, unique=True).map(sorted)
+_LATTICE_POINTS = st.builds(P, st.integers(-5, 5).map(float), st.integers(-5, 5).map(float))
+_LATTICE_POLYGONS = st.lists(
+    st.lists(_LATTICE_POINTS, min_size=3, max_size=5, unique=True), min_size=1, max_size=2
+).map(lambda rings: PlanarPolygon(tuple(tuple(r) for r in rings)))
+
+
+@st.composite
+def _tiled_areas(draw):
+    """Rectangles tiling a grid, so neighbours share sides and corners,
+    with shuffled ids, plus up to two free polygons that may overlap them."""
+    xs, ys = draw(_CUTS), draw(_CUTS)
+    tiles = [(x0, y0, x1, y1) for x0, x1 in zip(xs, xs[1:]) for y0, y1 in zip(ys, ys[1:])]
+    ids = draw(st.permutations(range(len(tiles))))
+    areas = [PlanningArea(f"A{i}", "", rect(*tile)) for i, tile in zip(ids, tiles)]
+    free = draw(st.lists(_LATTICE_POLYGONS, max_size=2))
+    return areas + [PlanningArea(f"F{i}", "", polygon) for i, polygon in enumerate(free)]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    areas=_tiled_areas(),
+    cities=st.lists(_LATTICE_POLYGONS, max_size=3),
+    extra=st.lists(st.builds(P, st.floats(-6, 6), st.floats(-6, 6)), max_size=5),
+)
+@example(
+    # A/B/C share sides and the corner (1, 1); D lies over the A/B side,
+    # so (1, 0.5) is strictly inside D alone and (0.75, 0.5) inside A and D.
+    areas=SHARED_BORDER_AREAS + [PlanningArea("D", "D", rect(0.5, 0.25, 1.5, 0.75))],
+    cities=[PlanarPolygon(((P(0, 0), P(2, 0), P(1, 2)),))],
+    extra=[P(0.75, 0.5)],
+)
+def test_bbox_reject_matches_a_plain_locate_over_every_polygon(areas, cities, extra):
+    cities = [CityPolygon(f"K{i}", "", polygon) for i, polygon in enumerate(cities)]
+    polygons = [shape.boundary for shape in areas + cities]
+    for n, point in enumerate(_probe_points(polygons) + extra):
+        try:
+            area = _located_area(point, areas, f"bus S{n}")
+            expected = (area and area.id, any(locate(point, c.boundary) for c in cities))
+        except OverlappingAreas as exc:
+            area = expected = str(exc)
+        try:
+            got = _area_of(point, areas, f"bus S{n}")
+        except OverlappingAreas as exc:
+            got = str(exc)
+        assert got == area, point
+        try:
+            (bus,) = assign_regions([_bus(f"S{n}", point.x, point.y)], areas, cities)
+            got = (bus.planning_area_id, bus.is_urban)
+        except OverlappingAreas as exc:
+            got = str(exc)
+        assert got == expected, point
+
+
 # --- validation ---------------------------------------------------------------
 
 def test_validate_clean_fixture_is_empty():
@@ -597,6 +679,26 @@ def test_generated_records_round_trip(kind, data):
 @pytest.mark.parametrize("fixture", FIXTURE_NAMES)
 def test_load_dataset_is_deterministic(fixture):
     assert load_dataset(FIXTURES / fixture) == load_dataset(FIXTURES / fixture)
+
+
+# sha256 of ``repr(load_dataset(fixture))``: every field of every record,
+# line geometry, names and area population totals included, which the
+# CLI's golden outputs do not all hold.
+RECORD_DIGESTS = {
+    "chain3": "7442383361ab7ff9cf56ab03d1b633738265c4ea98c649d0b36ada5ce338c4c8",
+    "diamond": "f0fb7407e33a36ab849a7ac09f8ef1bbb974947bc03d7b4ff63db0fe77e15074",
+    "grid30": "d274f37161a0bf992f720de5d85b61d09b59b60fabf93ab87244b58494a8cade",
+    "ladder": "d4e2a6616d0042698242ad52478314e2d54c27b835884cfdeba0fd5f934d558a",
+    "mixed": "4aa811c35c28675f55f1cd52a19db0e2b0612817439258b816bf09692b5fab7a",
+    "pair": "6e39255da787f0ed454ae28a1c38fd4d23f0d50e27d3b338255f3b418b2102e2",
+    "triangle": "cd5941659272af2fac3b440bfd5721fa7831894a329256922519b20206815a83",
+}
+
+
+@pytest.mark.parametrize("fixture", FIXTURE_NAMES)
+def test_load_dataset_records_are_pinned(fixture):
+    text = repr(load_dataset(FIXTURES / fixture))
+    assert hashlib.sha256(text.encode()).hexdigest() == RECORD_DIGESTS[fixture]
 
 
 def test_load_dataset_missing_file(tmp_path):

@@ -1,5 +1,6 @@
 """Scaling guards: ingest-to-orientation work and CSV loading must grow
-about linearly, and a paper-scale solve through the CLI stays fast."""
+about linearly, region assignment walks about one polygon per point, and
+a paper-scale solve through the CLI stays fast."""
 
 import gc
 import os
@@ -13,6 +14,7 @@ import gridtopo
 from gridtopo import ingest
 from gridtopo.direction import orient_all
 from gridtopo.dispatch import make_snapshot
+from gridtopo.geometry import locate
 from gridtopo.graph import build_grid
 from gridtopo.ingest import DATASET_FILES, AreaLoad, build_dataset, load_dataset
 
@@ -46,6 +48,25 @@ def test_build_and_orient_scale_linearly():
     small = planar_lattice_records(random.Random(5), 39, 39)
     large = planar_lattice_records(random.Random(5), 78, 78)
     _assert_about_linear(_build_and_orient, small, large)
+
+
+def test_region_assignment_walks_about_one_polygon_per_point(monkeypatch):
+    # 1521 buses and 10 population points against 16 planning areas and
+    # 10 cities: a point lies in one area's bounding box and seldom in a
+    # city's, so a box test before each walk leaves about one walk per
+    # point, where a walk per (point, polygon) pair makes 39,661.
+    records = planar_lattice_records(random.Random(5), 39, 39)
+    calls = 0
+
+    def counting_locate(point, polygon):
+        nonlocal calls
+        calls += 1
+        return locate(point, polygon)
+
+    monkeypatch.setattr(ingest, "locate", counting_locate)
+    build_dataset(**records)
+    points = len(records["buses"]) + len(records["population_points"])
+    assert calls <= 2 * points, f"{calls} locate calls for {points} points"
 
 
 def _write_dataset(records, data_dir) -> None:
