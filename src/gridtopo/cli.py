@@ -42,7 +42,7 @@ from .ingest import (
     validate_dataset,
     write_text,
 )
-from .render import DEFAULT_STYLE, geojson_text, render_dot, render_geojson, render_svg
+from .render import geojson_text, render_dot, render_geojson, render_svg
 
 
 class _UsageError(Exception):
@@ -248,9 +248,9 @@ def _cmd_render(args) -> str:
     else:
         grid, orientation, solution, warnings = _solved(args, dataset)
         if args.fmt == "svg":
-            text = render_svg(grid, orientation, solution, DEFAULT_STYLE)
+            text = render_svg(grid, orientation, solution)
         else:
-            text = geojson_text(render_geojson(grid, orientation, solution, DEFAULT_STYLE))
+            text = geojson_text(render_geojson(grid, orientation, solution))
     write_text(args.out or Path(f"render.{args.fmt}"), text)
     _warn(warnings)
     return _summary(solution, len(dataset.lines), orientation.heuristic_count)

@@ -78,7 +78,8 @@ def similarity_report(
     """Compare each year's area-load vector against the single area
     population vector. Vectors align on sorted area ids; an area
     missing from a year's mapping contributes 0. Correlation needs at
-    least two areas."""
+    least two areas. An all-zero or constant vector raises ZeroVector or
+    ConstantVector naming the year and the vector."""
     if len(dataset.planning_areas) < 2:
         raise ValueError(
             "similarity needs at least 2 planning areas, "
@@ -89,13 +90,18 @@ def similarity_report(
     rows = []
     for year in sorted(yearly_loads):
         loads = [float(yearly_loads[year].get(area_id, 0.0)) for area_id in area_ids]
-        rows.append(
-            SimilarityRow(
-                year=str(year),
-                cosine=cosine_similarity(population, loads),
-                pearson=pearson(population, loads),
-            )
-        )
+        try:
+            cosine, correlation = cosine_similarity(population, loads), pearson(population, loads)
+        except (ZeroVector, ConstantVector) as exc:
+            # the same measure of population against itself tells which vector failed
+            measure = cosine_similarity if isinstance(exc, ZeroVector) else pearson
+            try:
+                measure(population, population)
+                vector = f"the {year} area load"
+            except type(exc):
+                vector = "the area population"
+            raise type(exc)(f"year {year}: {exc}: {vector}") from None
+        rows.append(SimilarityRow(year=str(year), cosine=cosine, pearson=correlation))
     return tuple(rows)
 
 

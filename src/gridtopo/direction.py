@@ -260,7 +260,6 @@ def bfs_orient(
     """
     if not entries:
         raise ValueError("bfs_orient requires at least one entry point")
-    members = set(subgraph.buses)
     remaining = set(subgraph.lines)
     directions: dict[str, Direction] = {}
     provenance: dict[str, Provenance] = {}
@@ -270,8 +269,8 @@ def bfs_orient(
     while queue:
         bus = queue.popleft()
         for line_id, neighbor in grid.adjacency[bus]:
-            if line_id not in remaining or neighbor not in members:
-                continue
+            if line_id not in remaining:
+                continue  # directed already, by a heuristic or as a tree edge
             if neighbor in visited:
                 continue  # non-tree edge; randomized below
             line = grid.lines[line_id]

@@ -107,6 +107,39 @@ def test_report_needs_two_planning_areas(years):
     assert str(err.value) == "similarity needs at least 2 planning areas, dataset has 1"
 
 
+@pytest.mark.parametrize(
+    "population, loads, error, message",
+    [
+        (
+            (0, 0), {"A1": 5.0, "A2": 7.0}, ZeroVector,
+            "year 2020: cosine similarity undefined for an all-zero vector: the area population",
+        ),
+        (
+            (3, 4), {}, ZeroVector,
+            "year 2021: cosine similarity undefined for an all-zero vector: the 2021 area load",
+        ),
+        (
+            (5, 5), {"A1": 5.0, "A2": 7.0}, ConstantVector,
+            "year 2020: correlation undefined for a constant vector: the area population",
+        ),
+        (
+            (3, 4), {"A1": 2.0, "A2": 2.0}, ConstantVector,
+            "year 2021: correlation undefined for a constant vector: the 2021 area load",
+        ),
+    ],
+    ids=["zero population", "zero load", "constant population", "constant load"],
+)
+def test_report_error_names_the_year_and_the_degenerate_vector(population, loads, error, message):
+    dataset = toy_dataset(
+        [("s1", 138, "A1")],
+        area_specs=[("A1", 10.0, population[0]), ("A2", 5.0, population[1])],
+    )
+    years = {"2020": {"A1": 1.0, "A2": 2.0}, "2021": loads}
+    with pytest.raises(error) as err:
+        similarity_report(dataset, years)
+    assert str(err.value) == message
+
+
 def test_report_matches_brute_force_on_fixture():
     dataset = load_dataset(FIXTURES / "grid30")
     population = [float(a.population) for a in dataset.planning_areas]

@@ -7,19 +7,15 @@ import pytest
 
 from gridtopo.analysis import direction_diff
 from gridtopo.direction import orient_all
-from gridtopo.dispatch import make_snapshot, solve_flow_lp
+from gridtopo.demand import allocate_demand_index
+from gridtopo.dispatch import FlowSolution, estimate_bus_load, make_snapshot, solve_flow_lp
 from gridtopo.graph import build_grid
 from gridtopo.ingest import load_dataset
-from gridtopo.render import (
-    DEFAULT_STYLE,
-    RenderStyle,
-    geojson_text,
-    render_dot,
-    render_geojson,
-    render_svg,
-)
+from gridtopo.render import RAMP, geojson_text, render_dot, render_geojson, render_svg
 
-from helpers import FIXTURES, lp_case, make_orientation, toy_dataset
+from helpers import FIXTURE_NAMES, FIXTURES, lp_case, make_orientation, toy_dataset
+
+RAMP_BOTTOM, RAMP_TOP = "#2c7bb6", "#d7191c"
 
 
 def two_bus_setup():
@@ -66,7 +62,7 @@ def test_geojson_without_solution():
     for feature in document["features"]:
         assert "flow_mw" not in feature["properties"]
         assert "load_mw" not in feature["properties"]
-        assert feature["properties"]["color"] == DEFAULT_STYLE.bus_ramp[0]
+        assert feature["properties"]["color"] == RAMP_BOTTOM
 
 
 def test_geojson_flow_passthrough_and_ramp_extremes():
@@ -81,8 +77,8 @@ def test_geojson_flow_passthrough_and_ramp_extremes():
     }
     assert lines["l1"]["flow_mw"] == pytest.approx(10.0)
     assert lines["l2"]["flow_mw"] == pytest.approx(0.0)
-    assert lines["l1"]["color"] == DEFAULT_STYLE.line_ramp[1]  # max flow: ramp top
-    assert lines["l2"]["color"] == DEFAULT_STYLE.line_ramp[0]  # zero flow: bottom
+    assert lines["l1"]["color"] == RAMP_TOP  # max flow
+    assert lines["l2"]["color"] == RAMP_BOTTOM  # zero flow
     buses = {
         f["properties"]["id"]: f["properties"]
         for f in document["features"]
@@ -90,7 +86,7 @@ def test_geojson_flow_passthrough_and_ramp_extremes():
     }
     assert buses["b"]["load_mw"] == pytest.approx(10.0)
     assert buses["b"]["epsilon_mw"] == pytest.approx(0.0)
-    assert buses["b"]["color"] == DEFAULT_STYLE.bus_ramp[1]
+    assert buses["b"]["color"] == RAMP_TOP
 
 
 def test_geojson_linestring_follows_direction():
@@ -188,20 +184,73 @@ def test_svg_empty():
     ET.fromstring(text)
 
 
-# --- style -------------------------------------------------------------------
+def test_svg_escapes_bus_ids_in_titles():
+    bus_id = "S<3&>"
+    grid = build_grid(toy_dataset([(bus_id, 138), ("b", 138)], [("l1", bus_id, "b", 138)]))
+    text = render_svg(grid, make_orientation(grid, {"l1": (bus_id, "b")}))
+    root = ET.fromstring(text)
+    titles = [t.text for t in root.iter("{http://www.w3.org/2000/svg}title")]
+    assert titles == [bus_id, "b"]
 
-def test_style_rejects_bad_colors():
-    with pytest.raises(ValueError):
-        RenderStyle(bus_ramp=("red", "#ffffff"))
-    with pytest.raises(ValueError):
-        RenderStyle(line_ramp=("#fff", "#ffffff"))
 
+def _fixture_renders(name):
+    """(grid, orientation, solution) without and with a max-mode solution."""
+    dataset = load_dataset(FIXTURES / name)
+    grid = build_grid(dataset)
+    snapshot = make_snapshot(dataset, "max")
+    orientation = orient_all(grid, snapshot, 42)
+    bus_load = estimate_bus_load(allocate_demand_index(dataset), snapshot, orientation, grid)
+    solution = solve_flow_lp(orientation, grid, bus_load, snapshot)
+    return [(grid, orientation, None), (grid, orientation, solution)]
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_svg_draws_the_geojson_features(name):
+    """Each polyline is its LineString projected, each circle its Point;
+    both carry the feature's color, and a circle's title is its id."""
+    ns = "{http://www.w3.org/2000/svg}"
+    for grid, orientation, solution in _fixture_renders(name):
+        features = render_geojson(grid, orientation, solution)["features"]
+        points = [f for f in features if f["geometry"]["type"] == "Point"]
+        lines = [f for f in features if f["geometry"]["type"] == "LineString"]
+        coords = [p["geometry"]["coordinates"] for p in points]
+        coords += [c for line in lines for c in line["geometry"]["coordinates"]]
+        min_x, max_x = min(x for x, _ in coords), max(x for x, _ in coords)
+        min_y, max_y = min(y for _, y in coords), max(y for _, y in coords)
+        span = max(max_x - min_x, max_y - min_y) or 1.0
+        margin = 0.05 * span
+        scale = 800.0 / (span + 2 * margin)
+
+        def project(x, y):
+            return f"{(x - min_x + margin) * scale:.2f},{(max_y - y + margin) * scale:.2f}"
+
+        root = ET.fromstring(render_svg(grid, orientation, solution))
+        polylines = root.findall(f"{ns}polyline")
+        assert len(polylines) == len(lines)
+        for polyline, line in zip(polylines, lines):
+            expected = " ".join(project(x, y) for x, y in line["geometry"]["coordinates"])
+            assert polyline.get("points") == expected
+            assert polyline.get("stroke") == line["properties"]["color"]
+        circles = root.findall(f"{ns}circle")
+        assert len(circles) == len(points)
+        for circle, point in zip(circles, points):
+            assert f'{circle.get("cx")},{circle.get("cy")}' == project(*point["geometry"]["coordinates"])
+            assert circle.get("fill") == point["properties"]["color"]
+            assert circle.find(f"{ns}title").text == point["properties"]["id"]
+
+
+# --- ramp --------------------------------------------------------------------
 
 def test_ramp_interpolation_endpoints_and_midpoint():
-    style = RenderStyle(bus_ramp=("#000000", "#ffffff"))
-    assert style.bus_color(0.0) == "#000000"
-    assert style.bus_color(1.0) == "#ffffff"
-    assert style.bus_color(0.5) == "#808080"
+    assert RAMP == ((0x2C, 0x7B, 0xB6), (0xD7, 0x19, 0x1C))
+    grid = build_grid(toy_dataset([("a", 138), ("b", 138), ("c", 138)]))
+    loads = {"a": 0.0, "b": 5.0, "c": 10.0}
+    zero = {bus_id: 0.0 for bus_id in loads}
+    solution = FlowSolution({}, zero, zero, loads, 0.0, 0.0)
+    document = render_geojson(grid, make_orientation(grid, {}), solution)
+    colors = [f["properties"]["color"] for f in document["features"]]
+    # midpoint channels: round(44 + 171 / 2), round(123 - 98 / 2), round(182 - 154 / 2)
+    assert colors == [RAMP_BOTTOM, "#824a69", RAMP_TOP]
 
 
 # --- direction diff ------------------------------------------------------------
