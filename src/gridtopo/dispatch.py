@@ -24,7 +24,9 @@ load_i. The objective is total load minus the max flow, which Dinic's
 algorithm finds exactly; injections, unserved demand and line flows
 are read off the residual capacities. Only bus-level quantities and
 the objective are contractual; per-line flows are one optimum among
-possibly many.
+possibly many. The solve starts from the routing the attribution
+implies, so Dinic finds no augmenting path: ``FlowSolution.iterations``
+is 0 on CLI runs.
 """
 
 from __future__ import annotations
@@ -106,27 +108,36 @@ def make_snapshot(
 
 @dataclass(frozen=True)
 class BusLoad:
-    """Estimated load per bus (MW); conserves total attributed output."""
+    """Estimated load per bus (MW); conserves total attributed output.
+
+    ``routing`` is the flow per line (MW, absent: 0) that carries these
+    loads from their generation buses; ``None`` starts the solve from
+    zero flow.
+    """
 
     values: Mapping[str, float]
     warnings: tuple[str, ...] = ()
+    routing: Mapping[str, float] | None = None
 
     def total(self) -> float:
         return math.fsum(self.values.values())
 
 
-def reachable_buses(orientation: Orientation, grid: Grid, source_bus: str) -> frozenset[str]:
-    """Directed reachability closure from ``source_bus`` (inclusive)."""
-    seen = {source_bus}
+def reachable_buses(
+    orientation: Orientation, grid: Grid, source_bus: str
+) -> dict[str, str | None]:
+    """Directed reachability walk from ``source_bus``: each reached bus,
+    in discovery order, maps to the line that first reached it (``None``
+    for ``source_bus``)."""
+    parents: dict[str, str | None] = {source_bus: None}
     stack = [source_bus]
     while stack:
         bus = stack.pop()
         for line_id, neighbor in grid.adjacency[bus]:
-            frm, _to = orientation.from_to(grid.lines[line_id])
-            if frm == bus and neighbor not in seen:
-                seen.add(neighbor)
+            if neighbor not in parents and orientation.from_to(grid.lines[line_id])[0] == bus:
+                parents[neighbor] = line_id
                 stack.append(neighbor)
-    return frozenset(seen)
+    return parents
 
 
 def estimate_bus_load(
@@ -140,17 +151,19 @@ def estimate_bus_load(
 
     A reachable set with zero total index cannot take a proportional
     share; the output is attributed to the generation bus itself (with
-    a warning) so generation mass is conserved.
+    a warning) so generation mass is conserved. Each share flows down
+    the walk's tree; the per-line sums are the ``routing``.
     """
     loads = {bus: 0.0 for bus in grid.adjacency}
+    routing: dict[str, float] = {}
     warnings = []
     totals = snapshot.bus_totals(grid)
     for bus in sorted(totals):
         output = totals[bus]
         if output <= 0.0:
             continue
-        reach = reachable_buses(orientation, grid, bus)
-        index_sum = math.fsum(demand_index.values.get(r, 0.0) for r in reach)
+        parents = reachable_buses(orientation, grid, bus)
+        index_sum = math.fsum(demand_index.values.get(r, 0.0) for r in parents)
         if index_sum == 0.0:
             warnings.append(
                 f"zero demand index over buses reachable from {bus}; "
@@ -158,10 +171,22 @@ def estimate_bus_load(
             )
             loads[bus] += output
             continue
-        for member in sorted(reach):
+        below = {}
+        for member in sorted(parents):
             weight = demand_index.values.get(member, 0.0) / index_sum
-            loads[member] += weight * output
-    return BusLoad(values=MappingProxyType(loads), warnings=tuple(warnings))
+            below[member] = weight * output
+            loads[member] += below[member]
+        # Reverse discovery order visits a bus after every bus below it.
+        for member in reversed(parents):
+            line_id = parents[member]
+            if line_id is not None:
+                routing[line_id] = routing.get(line_id, 0.0) + below[member]
+                below[orientation.from_to(grid.lines[line_id])[0]] += below[member]
+    return BusLoad(
+        values=MappingProxyType(loads),
+        warnings=tuple(warnings),
+        routing=MappingProxyType(routing),
+    )
 
 
 @dataclass(frozen=True)
@@ -170,7 +195,8 @@ class FlowSolution:
 
     ``loads`` echoes the LP's input bus loads so a solution is
     self-contained for export and rendering. ``iterations`` is the
-    solver's work: the number of augmenting paths the max-flow took.
+    solver's work: the number of augmenting paths the max-flow took, 0
+    from an attributed ``BusLoad``'s routing, as on CLI runs.
     """
 
     flows: Mapping[str, float]
@@ -188,11 +214,13 @@ class FlowSolution:
         return math.fsum(self.loads.values())
 
 
-def _max_flow(node_count, arcs, source, sink) -> tuple[list[float], int]:
+def _max_flow(node_count, arcs, source, sink, flow=None) -> tuple[list[float], int]:
     """Dinic's max-flow over ``arcs``, a list of ``(tail, head, capacity)``.
 
-    Returns the residual capacities and the number of augmenting paths.
-    Arc k's residual is ``residual[2 * k]``; its reverse arc's residual,
+    Starts from ``flow[k]`` on arc k (zero flow without it); any
+    imbalance of the start stays in the result. Returns the residual
+    capacities and the number of augmenting paths. Arc k's residual is
+    ``residual[2 * k]``; its reverse arc's residual,
     ``residual[2 * k + 1]``, is the flow it carries. Each augmentation
     leaves its bottleneck arc at exactly 0.0, so float capacities need
     no tolerance to terminate.
@@ -200,11 +228,12 @@ def _max_flow(node_count, arcs, source, sink) -> tuple[list[float], int]:
     head: list[int] = []
     residual: list[float] = []
     out: list[list[int]] = [[] for _ in range(node_count)]
-    for tail, to, capacity in arcs:
+    for k, (tail, to, capacity) in enumerate(arcs):
+        carried = 0.0 if flow is None else flow[k]
         out[tail].append(len(head))
         out[to].append(len(head) + 1)
         head += (to, tail)
-        residual += (capacity, 0.0)
+        residual += (capacity - carried, carried)
 
     augmentations = 0
     while True:
@@ -261,6 +290,11 @@ def solve_flow_lp(
     Always feasible; ``mismatch`` absorbs any deficit. ``max_residual``
     is the largest nodal-balance violation recomputed from the returned
     numbers, and stays within 1e-6 of zero.
+
+    With a routing, source arcs start at their output, sink arcs at
+    their load and lines at their routed flow; the float dust of the
+    routed sums shows only in ``max_residual``. A negative or non-finite
+    routed flow is refused.
     """
     bus_ids = sorted(grid.adjacency)
     line_ids = sorted(grid.lines)
@@ -281,7 +315,17 @@ def solve_flow_lp(
     for line_id in line_ids:
         frm, to = orientation.from_to(grid.lines[line_id])
         arcs.append((bus_pos[frm], bus_pos[to], math.inf))
-    residual_caps, augmentations = _max_flow(n + 2, arcs, source, sink)
+    start = None
+    if bus_load.routing is not None:
+        start = [caps[bus] for bus in bus_ids] + loads
+        for line_id in line_ids:
+            routed = bus_load.routing.get(line_id, 0.0)
+            if not 0.0 <= routed < math.inf:
+                raise ValueError(
+                    f"line {line_id}: routed flow {routed!r} must be finite and nonnegative"
+                )
+            start.append(routed)
+    residual_caps, augmentations = _max_flow(n + 2, arcs, source, sink, start)
 
     injections = {bus: caps[bus] - residual_caps[2 * i] for i, bus in enumerate(bus_ids)}
     mismatch = {bus: residual_caps[2 * (n + i)] for i, bus in enumerate(bus_ids)}

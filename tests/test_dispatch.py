@@ -1,10 +1,14 @@
+import dataclasses
 import math
 import random
 from types import MappingProxyType
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gridtopo.demand import DemandIndex
+from gridtopo.demand import DemandIndex, allocate_demand_index
+from gridtopo.direction import orient_all
 from gridtopo.dispatch import (
     estimate_bus_load,
     make_snapshot,
@@ -13,12 +17,14 @@ from gridtopo.dispatch import (
     write_solution_files,
 )
 from gridtopo.graph import build_grid
-from gridtopo.ingest import load_dataset, serialize_snapshot_outputs
+from gridtopo.ingest import AreaLoad, build_dataset, load_dataset, serialize_snapshot_outputs
 
 from helpers import (
+    FIXTURE_NAMES,
     FIXTURES,
     lp_case,
     oracle_lp_objective,
+    planar_lattice_records,
     random_lp_instance,
     toy_dataset,
 )
@@ -84,8 +90,8 @@ def test_reachability_examples():
     grid, orientation, _snap, _load = lp_case(
         ["a", "b", "c"], [("l1", "a", "b"), ("l2", "b", "c")], {}, {}
     )
-    assert reachable_buses(orientation, grid, "a") == {"a", "b", "c"}
-    assert reachable_buses(orientation, grid, "c") == {"c"}
+    assert set(reachable_buses(orientation, grid, "a")) == {"a", "b", "c"}
+    assert set(reachable_buses(orientation, grid, "c")) == {"c"}
 
     grid, orientation, _snap, _load = lp_case(
         ["a", "b", "c", "d"],
@@ -93,7 +99,25 @@ def test_reachability_examples():
         {},
         {},
     )
-    assert reachable_buses(orientation, grid, "a") == {"a", "b", "c", "d"}
+    assert set(reachable_buses(orientation, grid, "a")) == {"a", "b", "c", "d"}
+
+
+def test_reach_walk_records_the_line_that_first_reached_each_bus():
+    grid, orientation, _snap, _load = lp_case(
+        ["a", "b", "c", "d"],
+        [("l1", "a", "b"), ("l2", "a", "c"), ("l3", "b", "d"), ("l4", "c", "d")],
+        {},
+        {},
+    )
+    parents = reachable_buses(orientation, grid, "a")
+    assert parents["a"] is None
+    assert parents["b"] == "l1" and parents["c"] == "l2"
+    assert parents["d"] in ("l3", "l4")
+    order = list(parents)
+    for bus, line_id in parents.items():
+        if line_id is not None:
+            frm, _to = orientation.from_to(grid.lines[line_id])
+            assert order.index(frm) < order.index(bus)
 
 
 # --- load attribution ----------------------------------------------------------
@@ -136,6 +160,20 @@ def test_zero_index_sum_attributes_to_self():
     assert load.values["a"] == pytest.approx(40.0)
     assert load.warnings and "zero demand index" in load.warnings[0]
     assert load.total() == pytest.approx(40.0)
+
+
+def test_routing_carries_each_share_down_the_reach_tree():
+    grid, orientation, snap, _ = lp_case(
+        ["a", "b", "c", "d"],
+        [("l1", "a", "b"), ("l2", "b", "c"), ("l3", "b", "d"), ("l4", "d", "a")],
+        {"a": 100.0},
+        {},
+    )
+    load = estimate_bus_load(
+        index_of({"a": 1.0, "b": 1.0, "c": 2.0, "d": 4.0}), snap, orientation, grid
+    )
+    # a feeds b, and b feeds c and d; l4 closes a cycle back to a
+    assert dict(load.routing) == pytest.approx({"l1": 87.5, "l2": 25.0, "l3": 50.0})
 
 
 def test_attribution_conserves_generation():
@@ -240,7 +278,10 @@ def test_lp_matches_scipy():
         assert solution.objective == pytest.approx(reference.fun, abs=1e-7)
 
 
-def test_lp_matches_networkx_beyond_bruteforce_size():
+def _assert_matches_networkx(attributed: bool) -> None:
+    """With ``attributed``, the loads and the starting flow come from
+    ``estimate_bus_load``; without, the loads are random and the solve
+    starts from zero flow."""
     nx = pytest.importorskip("networkx")
     rng = random.Random(4242)
     for _ in range(30):
@@ -248,7 +289,13 @@ def test_lp_matches_networkx_beyond_bruteforce_size():
             rng, min_buses=50, max_buses=500, max_lines=1000
         )
         grid, orientation, snap, load = lp_case(bus_ids, arcs, caps, loads)
+        if attributed:
+            index = index_of({b: rng.uniform(0.0, 5.0) for b in bus_ids})
+            load = estimate_bus_load(index, snap, orientation, grid)
+            loads = dict(load.values)
         solution = solve_flow_lp(orientation, grid, load, snap)
+        if attributed:
+            assert solution.iterations == 0
 
         network = nx.DiGraph()
         network.add_nodes_from(("source", "sink"))
@@ -272,6 +319,14 @@ def test_lp_matches_networkx_beyond_bruteforce_size():
         assert solution.max_residual <= 1e-6
 
 
+def test_lp_matches_networkx_beyond_bruteforce_size():
+    _assert_matches_networkx(attributed=False)
+
+
+def test_lp_matches_networkx_from_the_attribution_routing():
+    _assert_matches_networkx(attributed=True)
+
+
 def test_lp_rejects_negative_inputs():
     grid, orientation, snap, load = lp_case(
         ["a", "b"], [("l1", "a", "b")], {"a": -1.0}, {"b": 1.0}
@@ -283,6 +338,16 @@ def test_lp_rejects_negative_inputs():
     )
     with pytest.raises(ValueError, match="loads"):
         solve_flow_lp(orientation, grid, load, snap)
+
+
+def test_lp_refuses_a_negative_or_non_finite_routing():
+    grid, orientation, snap, load = lp_case(
+        ["a", "b"], [("l1", "a", "b")], {"a": 1.0}, {"b": 1.0}
+    )
+    for routed in (-1.0, math.inf, math.nan):
+        bad = dataclasses.replace(load, routing={"l1": routed})
+        with pytest.raises(ValueError, match="line l1"):
+            solve_flow_lp(orientation, grid, bad, snap)
 
 
 def test_lp_conservation_and_lower_bound():
@@ -325,20 +390,85 @@ def test_lp_lower_bound_tight_on_complete_graph():
         assert solution.objective == pytest.approx(expected, abs=1e-6)
 
 
-def test_full_pipeline_zero_mismatch_on_fixture():
-    from gridtopo.demand import allocate_demand_index
-    from gridtopo.direction import orient_all
+# --- starting from the attribution's routing ------------------------------------
 
-    dataset = load_dataset(FIXTURES / "grid30")
+def _attributed(dataset, mode="max", snapshot_path=None):
+    """Orient ``dataset`` and attribute its loads as ``solve`` does."""
     grid = build_grid(dataset)
-    snap = make_snapshot(dataset, "max")
+    snap = make_snapshot(dataset, mode, snapshot_path)
     orientation = orient_all(grid, snap, 42)
-    index = allocate_demand_index(dataset)
-    load = estimate_bus_load(index, snap, orientation, grid)
+    load = estimate_bus_load(allocate_demand_index(dataset), snap, orientation, grid)
+    return grid, orientation, snap, load
+
+
+def test_full_pipeline_zero_mismatch_on_fixture():
+    grid, orientation, snap, load = _attributed(load_dataset(FIXTURES / "grid30"))
     solution = solve_flow_lp(orientation, grid, load, snap)
     # loads were attributed within reachable sets, so everything is servable
     assert solution.objective == pytest.approx(0.0, abs=1e-6)
     assert solution.max_residual <= 1e-6
+
+
+def _assert_warm_matches_cold(grid, orientation, snap, load):
+    warm = solve_flow_lp(orientation, grid, load, snap)
+    cold = solve_flow_lp(orientation, grid, dataclasses.replace(load, routing=None), snap)
+    tolerance = 1e-9 * max(1.0, cold.total_load())
+    assert warm.iterations == 0
+    assert abs(warm.objective - cold.objective) <= tolerance
+    for bus in cold.injections:
+        assert abs(warm.injections[bus] - cold.injections[bus]) <= tolerance
+        assert abs(warm.mismatch[bus] - cold.mismatch[bus]) <= tolerance
+    assert warm.max_residual <= 1e-6
+    assert all(f >= 0.0 for f in warm.flows.values())
+
+
+@pytest.mark.parametrize("mode", ["max", "timepoint"])
+@pytest.mark.parametrize("fixture", FIXTURE_NAMES)
+def test_warm_solve_matches_cold_solve_on_fixtures(fixture, mode):
+    data = FIXTURES / fixture
+    snapshot_path = data / "Snapshot.csv" if mode == "timepoint" else None
+    _assert_warm_matches_cold(*_attributed(load_dataset(data), mode, snapshot_path))
+
+
+def _lattice_dataset(rng, rows, cols, positive_caps=False):
+    records = planar_lattice_records(rng, rows, cols)
+    if positive_caps:
+        records["generators"] = [
+            dataclasses.replace(g, max_capacity_mw=g.max_capacity_mw or 100.0)
+            for g in records["generators"]
+        ]
+    loads = [AreaLoad(a.id, a.name, rng.uniform(1.0, 500.0)) for a in records["planning_areas"]]
+    return build_dataset(**records, area_loads=loads)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.integers(4, 16),
+    cols=st.integers(4, 16),
+    positive_caps=st.booleans(),
+)
+def test_warm_solve_matches_cold_solve_on_lattices(seed, rows, cols, positive_caps):
+    dataset = _lattice_dataset(random.Random(seed), rows, cols, positive_caps)
+    _assert_warm_matches_cold(*_attributed(dataset))
+
+
+def test_attributed_solve_takes_no_augmenting_path_at_scale():
+    # 78 x 78 = 6084 buses with 608 generators online: started from zero
+    # flow, Dinic takes thousands of augmenting paths here.
+    dataset = _lattice_dataset(random.Random(5), 78, 78, positive_caps=True)
+    grid, orientation, snap, load = _attributed(dataset)
+    solution = solve_flow_lp(orientation, grid, load, snap)
+    assert solution.iterations == 0
+    assert solution.max_residual <= 1e-6
+
+
+def test_a_perturbed_routing_shows_in_max_residual():
+    grid, orientation, snap, load = _attributed(load_dataset(FIXTURES / "grid30"))
+    line_id = max(load.routing, key=load.routing.get)
+    routing = {**load.routing, line_id: load.routing[line_id] + 1.0}
+    solution = solve_flow_lp(orientation, grid, dataclasses.replace(load, routing=routing), snap)
+    assert solution.max_residual == pytest.approx(1.0)
 
 
 def test_write_solution_files(tmp_path):
