@@ -137,10 +137,6 @@ def _warn(lines) -> None:
 
 def _oriented(args, dataset):
     grid = build_grid(dataset)
-    if args.mode == MODE_TIME_POINT and args.snapshot is None:
-        raise _UsageError("--mode timepoint requires --snapshot")
-    if args.mode != MODE_TIME_POINT and args.snapshot is not None:
-        raise _UsageError("--snapshot requires --mode timepoint")
     snapshot = make_snapshot(dataset, args.mode, args.snapshot)
     orientation = orient_all(grid, snapshot, args.seed)
     warnings = _warnings(snapshot, orientation)
@@ -262,6 +258,12 @@ def cli_main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.command is None:
             raise _UsageError("a subcommand is required")
+        # The scenario flags of orient, solve and render, checked before any file is read.
+        timepoint = getattr(args, "mode", None) == MODE_TIME_POINT
+        if timepoint and args.snapshot is None:
+            raise _UsageError("--mode timepoint requires --snapshot")
+        if not timepoint and getattr(args, "snapshot", None) is not None:
+            raise _UsageError("--snapshot requires --mode timepoint")
         print(args.run(args))
         return 0
     except _UsageError as exc:

@@ -223,7 +223,7 @@ def entry_points(
         entries.update(bus for bus, cls in classes.items() if cls == top)
 
     for bus in subgraph.buses:
-        if snapshot.bus_output(grid, bus) > 0.0 or _fed_by_stage_one(bus, grid, partial):
+        if snapshot.outputs.get(bus, 0.0) > 0.0 or _fed_by_stage_one(bus, grid, partial):
             entries.add(bus)
 
     if entries:

@@ -1,11 +1,12 @@
 """Scenario snapshots, load attribution, and the flow-conservation LP.
 
-Generation scenarios come in two modes: every generator at maximum
-capacity (the baseline), or per-generator outputs read from a
-Snapshot.csv time point. Each generation bus's output is attributed
-over the buses it can reach under the line orientation, proportionally
-to the demand index; the LP then finds line flows and injections that
-balance those bus loads.
+A generation scenario is output per bus: each generator's output,
+either its maximum capacity (the baseline) or the value a Snapshot.csv
+time point reports, is summed into its bus once, when the snapshot is
+made. Each generation bus's output is attributed over the buses it can
+reach under the line orientation, proportionally to the demand index;
+the LP then finds line flows and injections that balance those bus
+loads.
 
 LP formulation, per bus i (sets follow the orientation):
 
@@ -49,18 +50,17 @@ MODE_TIME_POINT = "timepoint"
 
 @dataclass(frozen=True)
 class GenerationSnapshot:
-    """Per-generator output defining one scenario."""
+    """Generation per bus defining one scenario.
+
+    ``outputs`` maps a bus id to the summed output (MW) of the
+    generators at that bus; a bus without generators is absent.
+    """
 
     outputs: Mapping[str, float]
     warnings: tuple[str, ...] = ()
 
-    def bus_output(self, grid: Grid, bus: str) -> float:
-        """Summed output of the generators at ``bus`` (0.0 without any)."""
-        gens = grid.generators_by_bus.get(bus, ())
-        return sum((self.outputs.get(g.id, 0.0) for g in gens), 0.0)
-
     def bus_totals(self, grid: Grid) -> dict[str, float]:
-        return {bus: self.bus_output(grid, bus) for bus in grid.adjacency}
+        return {bus: self.outputs.get(bus, 0.0) for bus in grid.adjacency}
 
     def total_output(self) -> float:
         return math.fsum(self.outputs.values())
@@ -73,35 +73,34 @@ def make_snapshot(
 ) -> GenerationSnapshot:
     """Build a scenario from capacities or from a Snapshot.csv file.
 
-    Time-point mode tolerates source noise: generators missing from the
-    file default to 0 and outputs above nameplate capacity are accepted,
-    both with a warning.
+    Each generator's output is added into its bus as it is read, in
+    generator id order, starting from 0.0. Time-point mode tolerates
+    source noise: generators missing from the file default to 0 and
+    outputs above nameplate capacity are accepted, both with a warning.
     """
     if mode == MODE_MAX_CAPACITY:
-        outputs = {g.id: g.max_capacity_mw for g in dataset.generators}
-        return GenerationSnapshot(outputs=MappingProxyType(outputs))
-    if mode != MODE_TIME_POINT:
+        # Every generator reported at capacity: none of the warnings applies.
+        reported = {g.id: g.max_capacity_mw for g in dataset.generators}
+    elif mode != MODE_TIME_POINT:
         raise ValueError(f"unknown snapshot mode {mode!r}")
-    if snapshot_path is None:
+    elif snapshot_path is None:
         raise ValueError("time-point mode needs a snapshot file")
+    else:
+        reported = parse_snapshot_outputs(snapshot_path)
 
-    reported = parse_snapshot_outputs(snapshot_path)
     warnings = []
-    outputs = {}
-    known = {g.id: g for g in dataset.generators}
-    for gen_id, gen in known.items():
-        if gen_id not in reported:
-            warnings.append(f"generator {gen_id} missing from snapshot; output set to 0")
-            outputs[gen_id] = 0.0
-            continue
-        value = reported[gen_id]
-        if value > gen.max_capacity_mw:
+    outputs: dict[str, float] = {}
+    for gen in dataset.generators:
+        value = reported.get(gen.id, 0.0)
+        if gen.id not in reported:
+            warnings.append(f"generator {gen.id} missing from snapshot; output set to 0")
+        elif value > gen.max_capacity_mw:
             warnings.append(
-                f"generator {gen_id} output {value} exceeds capacity "
+                f"generator {gen.id} output {value} exceeds capacity "
                 f"{gen.max_capacity_mw}; accepted"
             )
-        outputs[gen_id] = value
-    for gen_id in sorted(set(reported) - set(known)):
+        outputs[gen.bus_id] = outputs.get(gen.bus_id, 0.0) + value
+    for gen_id in sorted(set(reported) - {g.id for g in dataset.generators}):
         warnings.append(f"snapshot lists unknown generator {gen_id}; ignored")
     return GenerationSnapshot(outputs=MappingProxyType(outputs), warnings=tuple(warnings))
 
@@ -172,7 +171,7 @@ def estimate_bus_load(
             loads[bus] += output
             continue
         below = {}
-        for member in sorted(parents):
+        for member in parents:
             weight = demand_index.values.get(member, 0.0) / index_sum
             below[member] = weight * output
             loads[member] += below[member]

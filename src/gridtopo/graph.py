@@ -1,7 +1,9 @@
 """Undirected multigraph over buses and lines, plus voltage-class order.
 
 Parallel circuits between the same pair of buses are kept as distinct
-edges; collapsing them would corrupt flow totals downstream.
+edges; collapsing them would corrupt flow totals downstream. The grid
+is topology only: generation belongs to a scenario
+(``dispatch.GenerationSnapshot``), and one grid serves several.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping
 
-from .ingest import BusRecord, GeneratorRecord, GridDataset, LineRecord
+from .ingest import BusRecord, GridDataset, LineRecord
 
 # 500 kV circuits act as interregional extensions of the 240 kV
 # backbone, so both voltages share one class rank.
@@ -28,8 +30,9 @@ def voltage_class(kv: float) -> float:
 
 @dataclass(frozen=True)
 class Grid:
-    """Immutable adjacency view of a GridDataset.
+    """Immutable adjacency view of a GridDataset's buses and lines.
 
+    ``buses``, ``lines`` and ``adjacency`` iterate in id order.
     ``adjacency[bus]`` lists ``(line_id, neighbor_bus)`` pairs sorted by
     (neighbor, line id); every line appears exactly once per endpoint.
     """
@@ -37,7 +40,6 @@ class Grid:
     buses: Mapping[str, BusRecord]
     lines: Mapping[str, LineRecord]
     adjacency: Mapping[str, tuple[tuple[str, str], ...]]
-    generators_by_bus: Mapping[str, tuple[GeneratorRecord, ...]]
 
     def line_class(self, line_id: str) -> float:
         return voltage_class(self.lines[line_id].voltage_kv)
@@ -47,25 +49,19 @@ class Grid:
 
 
 def build_grid(dataset: GridDataset) -> Grid:
-    buses = {b.id: b for b in dataset.buses}
-    lines = {l.id: l for l in dataset.lines}
-    adjacency: dict[str, list[tuple[str, str]]] = {b: [] for b in sorted(buses)}
+    """Index ``dataset``'s buses and lines; its tuples are already sorted
+    by id, so each mapping is built once, in that order."""
+    adjacency: dict[str, list[tuple[str, str]]] = {b.id: [] for b in dataset.buses}
     for line in dataset.lines:
         adjacency[line.endpoint_a].append((line.id, line.endpoint_b))
         adjacency[line.endpoint_b].append((line.id, line.endpoint_a))
-    gens: dict[str, list[GeneratorRecord]] = {}
-    for gen in dataset.generators:
-        gens.setdefault(gen.bus_id, []).append(gen)
     return Grid(
-        buses=MappingProxyType({b: buses[b] for b in sorted(buses)}),
-        lines=MappingProxyType({l: lines[l] for l in sorted(lines)}),
+        buses=MappingProxyType({b.id: b for b in dataset.buses}),
+        lines=MappingProxyType({l.id: l for l in dataset.lines}),
         adjacency=MappingProxyType(
             {
                 bus: tuple(sorted(pairs, key=lambda p: (p[1], p[0])))
                 for bus, pairs in adjacency.items()
             }
-        ),
-        generators_by_bus=MappingProxyType(
-            {bus: tuple(members) for bus, members in sorted(gens.items())}
         ),
     )

@@ -135,7 +135,7 @@ def lp_case(bus_ids, arcs, caps, loads):
         grid, {line_id: (frm, to) for line_id, frm, to in arcs}
     )
     snapshot = GenerationSnapshot(
-        outputs=MappingProxyType({f"G_{b}": float(v) for b, v in caps.items()})
+        outputs=MappingProxyType({b: float(v) for b, v in caps.items()})
     )
     bus_load = BusLoad(
         values=MappingProxyType({b: float(loads.get(b, 0.0)) for b in bus_ids})

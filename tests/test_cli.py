@@ -104,6 +104,23 @@ def test_snapshot_without_timepoint_mode_exits_1(capsys, monkeypatch, tmp_path, 
     assert err.endswith("error: --snapshot requires --mode timepoint\n")
 
 
+@pytest.mark.parametrize("command", ["orient", "solve", "render"])
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (("--mode", "timepoint"), "--mode timepoint requires --snapshot"),
+        (("--snapshot", "Snapshot.csv"), "--snapshot requires --mode timepoint"),
+    ],
+    ids=["timepoint-without-snapshot", "snapshot-without-timepoint"],
+)
+def test_scenario_usage_error_comes_before_the_dataset(capsys, tmp_path, command, flags, message):
+    code, out, err = run(capsys, command, "--data-dir", str(tmp_path / "missing"), *flags)
+    assert (code, out) == (1, "")
+    assert "usage" in err.lower()
+    assert err.endswith(f"error: {message}\n")
+    assert "missing dataset file" not in err
+
+
 def stage_stderr(data: Path, stages: set[str], snapshot_csv=None) -> str:
     """The warnings of ``stages``, run through the library, in stage order."""
     dataset = load_dataset(data)

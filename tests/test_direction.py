@@ -185,7 +185,7 @@ def test_entry_uniform_subgraph_with_generator():
     # both lines were directed away from b by the generator rule
     assert subs == ()
     # remove the generator influence by zeroing output: now uniform+inactive
-    snap_zero = GenerationSnapshot(outputs=MappingProxyType({"g1": 0.0}))
+    snap_zero = GenerationSnapshot(outputs=MappingProxyType({"b": 0.0}))
     partial = apply_heuristics(grid, snap_zero)
     (sub,) = residual_subgraphs(grid, partial)
     entries, fallback = entry_points(sub, grid, snap, partial)  # active snapshot
@@ -323,13 +323,10 @@ def test_h3_dominance_on_random_graphs():
         dataset = random_connected_dataset(rng, max_buses=25)
         grid = build_grid(dataset)
         snap = snapshot_for(dataset)
-        outputs = {}
-        for bus, gens in grid.generators_by_bus.items():
-            outputs[bus] = sum(snap.outputs.get(g.id, 0.0) for g in gens)
         orientation = orient_all(grid, snap, seed=rng.randrange(1000))
         for line_id, line in grid.lines.items():
-            active_a = outputs.get(line.endpoint_a, 0.0) > 0
-            active_b = outputs.get(line.endpoint_b, 0.0) > 0
+            active_a = snap.outputs.get(line.endpoint_a, 0.0) > 0
+            active_b = snap.outputs.get(line.endpoint_b, 0.0) > 0
             if active_a != active_b:
                 frm, _to = orientation.from_to(line)
                 assert frm == (line.endpoint_a if active_a else line.endpoint_b)
@@ -415,11 +412,7 @@ def _reference_entry_points(subgraph, grid, snapshot, partial):
     entries = set()
     if min(classes.values()) < top:
         entries.update(bus for bus, cls in classes.items() if cls == top)
-    outputs = {
-        bus: sum(snapshot.outputs.get(g.id, 0.0) for g in gens)
-        for bus, gens in grid.generators_by_bus.items()
-    }
-    entries.update(bus for bus in subgraph.buses if outputs.get(bus, 0.0) > 0.0)
+    entries.update(bus for bus in subgraph.buses if snapshot.outputs.get(bus, 0.0) > 0.0)
     member = set(subgraph.buses)
     for line_id, direction in partial.directions.items():
         line = grid.lines[line_id]
@@ -466,13 +459,13 @@ def test_entry_points_match_full_scan_reference():
         partial = apply_heuristics(grid, snap)
         # A snapshot other than the partial's must be the one that is read.
         other = GenerationSnapshot(
-            outputs=MappingProxyType({g: rng.choice([0.0, 5.0]) for g in snap.outputs})
+            outputs=MappingProxyType({b: rng.choice([0.0, 5.0]) for b in snap.outputs})
         )
         for sub in residual_subgraphs(grid, partial):
             for snapshot in (snap, other):
                 expected = _reference_entry_points(sub, grid, snapshot, partial)
                 assert entry_points(sub, grid, snapshot, partial) == expected
-                generating = any(snapshot.bus_output(grid, b) > 0.0 for b in sub.buses)
+                generating = any(snapshot.outputs.get(b, 0.0) > 0.0 for b in sub.buses)
                 seen["generation" if generating else "no_generation"] += 1
                 seen["fallback"] += expected[1]
             classes = {grid.bus_class(b) for b in sub.buses}

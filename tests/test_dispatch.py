@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import shutil
 from types import MappingProxyType
 
 import pytest
@@ -17,7 +18,16 @@ from gridtopo.dispatch import (
     write_solution_files,
 )
 from gridtopo.graph import build_grid
-from gridtopo.ingest import AreaLoad, build_dataset, load_dataset, serialize_snapshot_outputs
+from gridtopo.ingest import (
+    AreaLoad,
+    GeneratorRecord,
+    build_dataset,
+    load_dataset,
+    parse_generators,
+    parse_snapshot_outputs,
+    serialize_generators,
+    serialize_snapshot_outputs,
+)
 
 from helpers import (
     FIXTURE_NAMES,
@@ -43,18 +53,18 @@ def test_max_capacity_snapshot_copies_caps():
         [("g1", "a", 815.0), ("g2", "b", 400.0)],
     )
     snap = make_snapshot(dataset, "max")
-    assert dict(snap.outputs) == {"g1": 815.0, "g2": 400.0}
+    assert dict(snap.outputs) == {"a": 815.0, "b": 400.0}
     assert snap.warnings == ()
 
 
 def test_timepoint_defaults_missing_generators(tmp_path):
     dataset = toy_dataset(
-        [("a", 138)], [], [("g1", "a", 100.0), ("g2", "a", 50.0)]
+        [("a", 138), ("b", 138)], [], [("g1", "a", 100.0), ("g2", "b", 50.0)]
     )
     path = tmp_path / "Snapshot.csv"
     path.write_text("generator_id,output_mw\ng1,100.0\n", encoding="utf-8")
     snap = make_snapshot(dataset, "timepoint", path)
-    assert dict(snap.outputs) == {"g1": 100.0, "g2": 0.0}
+    assert dict(snap.outputs) == {"a": 100.0, "b": 0.0}
     assert any("g2" in w for w in snap.warnings)
 
 
@@ -63,7 +73,7 @@ def test_timepoint_accepts_overcapacity_with_warning(tmp_path):
     path = tmp_path / "Snapshot.csv"
     path.write_text("generator_id,output_mw\ng1,12.5\n", encoding="utf-8")
     snap = make_snapshot(dataset, "timepoint", path)
-    assert snap.outputs["g1"] == 12.5
+    assert snap.outputs["a"] == 12.5
     assert any("exceeds capacity" in w for w in snap.warnings)
 
 
@@ -72,7 +82,7 @@ def test_timepoint_warns_on_unknown_generator(tmp_path):
     path = tmp_path / "Snapshot.csv"
     path.write_text("generator_id,output_mw\ng1,1.0\ngX,5.0\n", encoding="utf-8")
     snap = make_snapshot(dataset, "timepoint", path)
-    assert "gX" not in snap.outputs
+    assert dict(snap.outputs) == {"a": 1.0}
     assert any("gX" in w for w in snap.warnings)
 
 
@@ -82,6 +92,70 @@ def test_snapshot_mode_validation(tmp_path):
         make_snapshot(dataset, "timepoint")
     with pytest.raises(ValueError):
         make_snapshot(dataset, "whatever")
+
+
+def _stacked_fixture(name, root):
+    """Copy of fixture ``name`` under ``root`` that stacks three more
+    generators on each generator's bus, with capacities whose float sum
+    depends on its order, and a Snapshot.csv that omits one generator,
+    puts one above capacity and lists two unknown ones."""
+    data = root / name
+    shutil.copytree(FIXTURES / name, data)
+    rng = random.Random(name)
+    gens = parse_generators(data / "Generator.csv")
+    gens += [
+        GeneratorRecord(f"{g.id}_{k}", g.bus_id, rng.choice([0.1, 0.2, 0.3, 1e16]), "GAS")
+        for g in gens
+        for k in range(3)
+    ]
+    gens.sort(key=lambda g: g.id)
+    (data / "Generator.csv").write_text(serialize_generators(gens), encoding="utf-8")
+    reported = {g.id: rng.choice([0.0, g.max_capacity_mw / 3]) for g in gens[1:]}
+    reported[gens[-1].id] = 2 * gens[-1].max_capacity_mw + 1.0
+    reported.update({"Z_unknown": 5.0, "A_unknown": 1.0})
+    (data / "Snapshot.csv").write_text(serialize_snapshot_outputs(reported), encoding="utf-8")
+    return data
+
+
+def _reference_snapshot(data, mode):
+    """Per-generator outputs and warnings read straight from the files,
+    then summed per bus in generator id order from 0.0."""
+    gens = sorted(parse_generators(data / "Generator.csv"), key=lambda g: g.id)
+    if mode == "max":
+        reported = {g.id: g.max_capacity_mw for g in gens}
+    else:
+        reported = parse_snapshot_outputs(data / "Snapshot.csv")
+    warnings = []
+    for g in gens:
+        if g.id not in reported:
+            warnings.append(f"generator {g.id} missing from snapshot; output set to 0")
+        elif reported[g.id] > g.max_capacity_mw:
+            warnings.append(
+                f"generator {g.id} output {reported[g.id]} exceeds capacity "
+                f"{g.max_capacity_mw}; accepted"
+            )
+    unknown = sorted(set(reported) - {g.id for g in gens})
+    warnings += [f"snapshot lists unknown generator {g}; ignored" for g in unknown]
+    outputs = {
+        bus: sum((reported.get(g.id, 0.0) for g in gens if g.bus_id == bus), 0.0)
+        for bus in {g.bus_id for g in gens}
+    }
+    return outputs, warnings
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["shipped", "stacked"])
+@pytest.mark.parametrize("mode", ["max", "timepoint"])
+@pytest.mark.parametrize("fixture", FIXTURE_NAMES)
+def test_snapshot_sums_each_bus_like_the_per_generator_reference(tmp_path, fixture, mode, stacked):
+    data = _stacked_fixture(fixture, tmp_path) if stacked else FIXTURES / fixture
+    snapshot_path = data / "Snapshot.csv" if mode == "timepoint" else None
+    snap = make_snapshot(load_dataset(data), mode, snapshot_path)
+    outputs, warnings = _reference_snapshot(data, mode)
+    assert dict(snap.outputs) == outputs
+    assert list(snap.warnings) == warnings
+    if stacked and mode == "timepoint":
+        kinds = ("missing from snapshot", "exceeds capacity", "unknown generator")
+        assert all(any(kind in w for w in warnings) for kind in kinds)
 
 
 # --- reachability ------------------------------------------------------------

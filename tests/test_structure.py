@@ -18,10 +18,14 @@ The few that stay for other callers are listed with their reason.
 At module level the test suites import only the standard library, the
 repository's own code and what the ``test`` extra installs, so ``pip
 install -e ".[test]"`` is enough to collect every test.
+
+Under the pytest configuration, where every warning is an error, a
+failing property test is reported as a failure and the session goes on.
 """
 
 import ast
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -162,19 +166,23 @@ def test_all_guard_flags_every_binding():
     assert all_assignments(source, "m.py") == ["m.py:1", "m.py:2", "m.py:3", "m.py:4", "m.py:6"]
 
 
+# Callers of the ingest.serialize_* writers; ROADMAP item 1 plans a dataset
+# generator in the package that writes through them.
+_WRITER = "round-trip tests, test_scaling's dataset writer, ROADMAP item 1's generator"
+
 #: Definitions no package code names, each kept for a caller outside it.
 UNREFERENCED = {
     "direction.py:Orientation.endpoint_map": "perfbench diffs two orientations with it",
     "direction.py:Orientation.provenance_counts": "perfbench records the provenance histogram",
     "dispatch.py:GenerationSnapshot.total_output": "perfbench checks bus-load mass against it",
-    "ingest.py:serialize_buses": "canonical CSV writer for generated datasets",
-    "ingest.py:serialize_lines": "canonical CSV writer for generated datasets",
-    "ingest.py:serialize_generators": "canonical CSV writer for generated datasets",
-    "ingest.py:serialize_hourly_loads": "canonical CSV writer for generated datasets",
-    "ingest.py:serialize_planning_area_polygons": "canonical CSV writer for generated datasets",
-    "ingest.py:serialize_city_polygons": "canonical CSV writer for generated datasets",
-    "ingest.py:serialize_population_points": "canonical CSV writer for generated datasets",
-    "ingest.py:serialize_snapshot_outputs": "canonical CSV writer for generated datasets",
+    "ingest.py:serialize_buses": _WRITER,
+    "ingest.py:serialize_lines": _WRITER,
+    "ingest.py:serialize_generators": _WRITER,
+    "ingest.py:serialize_hourly_loads": _WRITER,
+    "ingest.py:serialize_planning_area_polygons": _WRITER,
+    "ingest.py:serialize_city_polygons": _WRITER,
+    "ingest.py:serialize_population_points": _WRITER,
+    "ingest.py:serialize_snapshot_outputs": "round-trip tests, ROADMAP item 1's generator",
 }
 
 
@@ -277,3 +285,32 @@ def test_import_guard_reads_every_module_level_absolute_import():
         "    import l\n"
     )
     assert imported_packages(source, "m.py") == {"a", "d", "e"}
+
+
+FAILING_PROPERTY = """\
+from hypothesis import given, settings, strategies as st
+
+
+@settings(database=None)
+@given(st.integers())
+def test_fails(x):
+    assert x < 0
+
+
+def test_passes():
+    pass
+"""
+
+
+def test_failing_property_test_is_reported_and_the_session_goes_on(tmp_path):
+    # Under the repository's pytest configuration (every warning an error)
+    # a failing hypothesis test must be reported as a failure, not end the
+    # session with an INTERNALERROR that leaves every later test unreported.
+    (tmp_path / "test_property.py").write_text(FAILING_PROPERTY, encoding="utf-8")
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(ROOT / "pyproject.toml"),
+         "--rootdir", str(tmp_path), "-p", "no:cacheprovider", "test_property.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 1, done.stdout + done.stderr
+    assert "1 failed, 1 passed" in done.stdout
