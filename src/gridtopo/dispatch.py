@@ -157,8 +157,7 @@ def estimate_bus_load(
     routing: dict[str, float] = {}
     warnings = []
     totals = snapshot.bus_totals(grid)
-    for bus in sorted(totals):
-        output = totals[bus]
+    for bus, output in totals.items():
         if output <= 0.0:
             continue
         parents = reachable_buses(orientation, grid, bus)
@@ -295,8 +294,8 @@ def solve_flow_lp(
     routed sums shows only in ``max_residual``. A negative or non-finite
     routed flow is refused.
     """
-    bus_ids = sorted(grid.adjacency)
-    line_ids = sorted(grid.lines)
+    bus_ids = list(grid.adjacency)
+    line_ids = list(grid.lines)
     n = len(bus_ids)
     bus_pos = {bus: i for i, bus in enumerate(bus_ids)}
     caps = snapshot.bus_totals(grid)

@@ -222,7 +222,7 @@ def test_bbox_is_derived_and_ignored_by_equality():
     b = PlanarPolygon((square(0.0, 0.0, 2.0, 1.0), square(0.5, 0.25, 1.0, 0.75)))
     assert a.bbox == (0.0, 0.0, 2.0, 1.0)
     assert a == b and hash(a) == hash(b)
-    assert "bbox" not in repr(a)
+    assert "bbox" not in repr(a) and "bands" not in repr(a)
 
 
 def test_point_on_boundary():
@@ -288,6 +288,16 @@ def test_locate_matches_unfiltered_walk(data):
         assert locate(p, poly) == expected
 
 
+class _WalkedBand(tuple):
+    """A band of ``PlanarPolygon.bands`` that records each walk over it."""
+
+    walked: list
+
+    def __iter__(self):
+        self.walked.append(self)
+        return super().__iter__()
+
+
 def test_locate_tests_only_edges_at_the_points_height(monkeypatch):
     # A 500-vertex ring close to a circle: a horizontal line meets few edges.
     rng = random.Random(6)
@@ -303,17 +313,144 @@ def test_locate_tests_only_edges_at_the_points_height(monkeypatch):
         return _reference_on_segment(p, a, b)
 
     monkeypatch.setattr(geometry, "_on_segment", counted)
+    walked = []
+    scale, bands = poly.bands
+    assert len(bands) == math.isqrt(len(edges))
+    # each band's chains are runs of consecutive edges: the ring meets a
+    # band in two arcs, one of which the ring's first vertex may split
+    assert all(set(zip(c, c[1:])) <= set(edges) for band in bands for c in band)
+    assert max(len(band) for band in bands) <= 3
+    recorded = tuple(map(_WalkedBand, bands))
+    for band in recorded:
+        band.walked = walked
+    object.__setattr__(poly, "bands", (scale, recorded))
     min_x, min_y, max_x, max_y = poly.bbox
     probes = [P(rng.uniform(min_x, max_x), rng.uniform(min_y, max_y)) for _ in range(50)]
     probes += [v for v in poly.rings[0][:50]]
     for p in probes:
         calls.clear()
+        walked.clear()
         result = locate(p, poly)
         at_height = [(a, b) for a, b in edges if min(a.y, b.y) <= p.y <= max(a.y, b.y)]
+        # one band is walked; it lists every edge at p's height and a
+        # fifth of the edges at most
+        assert len(walked) == 1
+        band_edges = [e for chain in walked[0] for e in zip(chain, chain[1:])]
+        assert set(at_height) <= set(band_edges)
+        assert len(band_edges) <= len(edges) // 5
         assert len(calls) <= len(at_height) < len(edges) // 10
         assert set(calls) <= set(at_height)
         assert result == _reference_locate(p, poly)
     for p in (P(min_x - 1.0, min_y), P(max_x, max_y + 1e-9), P(0.5 * (min_x + max_x), min_y - 1.0)):
         calls.clear()
+        walked.clear()
         assert locate(p, poly) == OUTSIDE
-        assert calls == []
+        assert calls == [] and walked == []
+
+
+# --- many-vertex rings, whose edges spread over many bands --------------------
+
+@st.composite
+def _wiggly_square_polygons(draw):
+    """A square of 50-300 vertices, each pushed radially in or out, with an
+    optional hole of the same kind; some vertices take the y of the one
+    before, so that some edges are horizontal, and some move to a band
+    boundary's height or one ulp off it."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    cx, cy = rng.uniform(-1e3, 1e3), rng.uniform(-1e3, 1e3)
+    half = rng.uniform(0.01, 100.0)
+    flatten = rng.choice([0.0, 0.1, 0.5])
+
+    def ring(scale):
+        n = rng.randint(50, 300)
+        vertices = []
+        for k in range(n):
+            # walk the square's perimeter, 4 units around
+            t = 4.0 * (k + rng.uniform(0.0, 0.9)) / n
+            side, f = int(t), t - int(t)
+            u, v = [(f, 0.0), (1.0, f), (1.0 - f, 1.0), (0.0, 1.0 - f)][side]
+            r = scale * half * rng.uniform(0.8, 1.2)
+            vertices.append(P(cx + r * (2.0 * u - 1.0), cy + r * (2.0 * v - 1.0)))
+        for k in range(1, n):
+            if rng.random() < flatten:
+                vertices[k] = P(vertices[k].x, vertices[k - 1].y)
+        return vertices
+
+    rings = [ring(1.0)]
+    if draw(st.booleans()):
+        rings.append(ring(0.3))
+    # Band boundaries as PlanarPolygon will place them; vertices at the
+    # extreme heights stay, so the bbox does not move.
+    ys = [v.y for r in rings for v in r]
+    min_y, max_y = min(ys), max(ys)
+    k = math.isqrt(len(ys))
+    step = (max_y - min_y) / k
+    snap = rng.choice([0.0, 0.1, 0.3])
+    for r in rings:
+        for i, v in enumerate(r):
+            if min_y < v.y < max_y and rng.random() < snap:
+                y = min_y + round((v.y - min_y) / step) * step
+                if rng.random() < 0.3:
+                    y = math.nextafter(y, rng.choice([-math.inf, math.inf]))
+                r[i] = P(v.x, min(max(y, min_y), max_y))
+    try:
+        return PlanarPolygon(tuple(map(tuple, rings)))
+    except ValueError:
+        assume(False)
+
+
+@st.composite
+def _band_probes(draw, poly):
+    """A vertex, an edge midpoint, a point on a horizontal edge, or a point
+    at a band boundary; at that height or one ulp either side of it."""
+    edges = list(_edges(poly))
+    min_x, min_y, max_x, max_y = poly.bbox
+    kind = draw(st.sampled_from(["vertex", "midpoint", "horizontal", "band"]))
+    horizontal = [(a, b) for a, b in edges if a.y == b.y]
+    if kind == "vertex":
+        p = draw(st.sampled_from(edges))[0]
+    elif kind == "midpoint" or (kind == "horizontal" and not horizontal):
+        a, b = draw(st.sampled_from(edges))
+        p = P((a.x + b.x) / 2, (a.y + b.y) / 2)
+    elif kind == "horizontal":
+        a, b = draw(st.sampled_from(horizontal))
+        p = P(draw(st.floats(min(a.x, b.x), max(a.x, b.x))), a.y)
+    else:
+        k = math.isqrt(len(edges))
+        y = min_y + draw(st.integers(0, k)) * (max_y - min_y) / k
+        vertex_x = draw(st.sampled_from(edges))[0].x
+        p = P(draw(st.sampled_from([draw(st.floats(min_x, max_x)), vertex_x])), y)
+    shift = draw(st.sampled_from([None, -math.inf, math.inf]))
+    return p if shift is None else P(p.x, math.nextafter(p.y, shift))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_band_walk_matches_unfiltered_walk_on_many_vertex_rings(data):
+    poly = data.draw(_wiggly_square_polygons())
+    assert len(poly.bands[1]) > 1
+    for _ in range(10):
+        p = data.draw(_band_probes(poly))
+        expected = OUTSIDE if _strictly_outside_bbox(p, poly) else _reference_locate(p, poly)
+        assert locate(p, poly) == expected
+
+
+# A 40-vertex ring of height 0, of a height that overflows to inf, and of
+# a subnormal height, for which k / height overflows.
+@pytest.mark.parametrize("y_scale", [0.0, 1e308, 1e-310], ids=["flat", "huge", "tiny"])
+def test_degenerate_height_falls_back_to_the_whole_walk(y_scale):
+    angles = [2 * math.pi * k / 40 for k in range(40)]
+    poly = PlanarPolygon((tuple(P(math.cos(t), y_scale * math.sin(t)) for t in angles),))
+    min_x, min_y, max_x, max_y = poly.bbox
+    edges = list(_edges(poly))
+    assert math.isqrt(len(edges)) > 2
+    assert poly.bands == (0.0, ())
+    ys = sorted({v.y for v in poly.rings[0]})
+    heights = ys + [math.nextafter(y, d) for y in ys for d in (-math.inf, math.inf)]
+    heights = [y for y in heights if math.isfinite(y)]
+    xs = sorted({v.x for v in poly.rings[0]}) + [0.5 * (min_x + max_x), 0.25]
+    probes = [P(x, y) for x in xs for y in heights]
+    probes += [P(a.x / 2 + b.x / 2, a.y / 2 + b.y / 2) for a, b in edges]
+    for p in probes:
+        expected = OUTSIDE if _strictly_outside_bbox(p, poly) else _reference_locate(p, poly)
+        assert locate(p, poly) == expected
