@@ -318,8 +318,8 @@ def orient_all(
     if missing:
         raise RuntimeError(f"orientation left lines undirected: {missing}")
     return Orientation(
-        directions=MappingProxyType({l: directions[l] for l in sorted(directions)}),
-        provenance=MappingProxyType({l: provenance[l] for l in sorted(provenance)}),
+        directions=MappingProxyType({l: directions[l] for l in grid.lines}),
+        provenance=MappingProxyType({l: provenance[l] for l in grid.lines}),
         conflicts=partial.conflicts,
         warnings=tuple(warnings),
     )
@@ -333,8 +333,8 @@ _ORIENTATION_COLUMNS = ("line_id", "from_bus", "to_bus", "provenance")
 
 def write_orientation_csv(orientation: Orientation, grid: Grid, path) -> None:
     rows = (
-        (line_id, *orientation.from_to(grid.lines[line_id]), orientation.provenance[line_id].value)
-        for line_id in sorted(orientation.directions)
+        (line_id, *orientation.from_to(line), orientation.provenance[line_id].value)
+        for line_id, line in grid.lines.items()
     )
     write_csv(path, _ORIENTATION_COLUMNS, rows)
 

@@ -21,13 +21,12 @@ total delivered generation. Flows carry no upper bounds because line
 limits are not part of the dataset, which makes the LP exactly a
 max-flow problem: source -> bus i with capacity cap_i, one
 uncapacitated arc per oriented line, bus i -> sink with capacity
-load_i. The objective is total load minus the max flow, which Dinic's
-algorithm finds exactly; injections, unserved demand and line flows
-are read off the residual capacities. Only bus-level quantities and
-the objective are contractual; per-line flows are one optimum among
-possibly many. The solve starts from the routing the attribution
-implies, so Dinic finds no augmenting path: ``FlowSolution.iterations``
-is 0 on CLI runs.
+load_i. The objective is total load minus the max flow. The
+attribution's routing fills every source arc, so by the source cut it
+is a maximum flow and is returned as is (``FlowSolution.iterations`` is
+0 on CLI runs); without a routing, Dinic's algorithm finds the max flow
+exactly. Only bus-level quantities and the objective are contractual;
+per-line flows are one optimum among possibly many.
 """
 
 from __future__ import annotations
@@ -110,8 +109,8 @@ class BusLoad:
     """Estimated load per bus (MW); conserves total attributed output.
 
     ``routing`` is the flow per line (MW, absent: 0) that carries these
-    loads from their generation buses; ``None`` starts the solve from
-    zero flow.
+    loads from their generation buses, and is the solve's answer;
+    ``None`` leaves the solve to a max-flow from zero flow.
     """
 
     values: Mapping[str, float]
@@ -193,8 +192,9 @@ class FlowSolution:
 
     ``loads`` echoes the LP's input bus loads so a solution is
     self-contained for export and rendering. ``iterations`` is the
-    solver's work: the number of augmenting paths the max-flow took, 0
-    from an attributed ``BusLoad``'s routing, as on CLI runs.
+    solver's work: the number of augmenting paths the max-flow took. It
+    is 0 for an attributed ``BusLoad``, as on CLI runs: its routing fills
+    the source cut, so it is returned without a max-flow.
     """
 
     flows: Mapping[str, float]
@@ -212,13 +212,11 @@ class FlowSolution:
         return math.fsum(self.loads.values())
 
 
-def _max_flow(node_count, arcs, source, sink, flow=None) -> tuple[list[float], int]:
-    """Dinic's max-flow over ``arcs``, a list of ``(tail, head, capacity)``.
+def _max_flow(node_count, arcs, source, sink) -> tuple[list[float], int]:
+    """Dinic's max-flow from zero over ``arcs``, ``(tail, head, capacity)`` triples.
 
-    Starts from ``flow[k]`` on arc k (zero flow without it); any
-    imbalance of the start stays in the result. Returns the residual
-    capacities and the number of augmenting paths. Arc k's residual is
-    ``residual[2 * k]``; its reverse arc's residual,
+    Returns the residual capacities and the number of augmenting paths.
+    Arc k's residual is ``residual[2 * k]``; its reverse arc's residual,
     ``residual[2 * k + 1]``, is the flow it carries. Each augmentation
     leaves its bottleneck arc at exactly 0.0, so float capacities need
     no tolerance to terminate.
@@ -226,12 +224,11 @@ def _max_flow(node_count, arcs, source, sink, flow=None) -> tuple[list[float], i
     head: list[int] = []
     residual: list[float] = []
     out: list[list[int]] = [[] for _ in range(node_count)]
-    for k, (tail, to, capacity) in enumerate(arcs):
-        carried = 0.0 if flow is None else flow[k]
+    for tail, to, capacity in arcs:
         out[tail].append(len(head))
         out[to].append(len(head) + 1)
         head += (to, tail)
-        residual += (capacity - carried, carried)
+        residual += (capacity, 0.0)
 
     augmentations = 0
     while True:
@@ -287,54 +284,51 @@ def solve_flow_lp(
 
     Always feasible; ``mismatch`` absorbs any deficit. ``max_residual``
     is the largest nodal-balance violation recomputed from the returned
-    numbers, and stays within 1e-6 of zero.
+    numbers, and stays within 1e-6 of zero. Loads and outputs must be
+    finite and nonnegative.
 
-    With a routing, source arcs start at their output, sink arcs at
-    their load and lines at their routed flow; the float dust of the
-    routed sums shows only in ``max_residual``. A negative or non-finite
-    routed flow is refused.
+    A routing fills every source arc, so by the source cut it is a
+    maximum flow: it is returned as is, with the outputs as injections
+    and no unserved demand, and its float dust or any break in
+    conservation shows only in ``max_residual``. A negative or
+    non-finite routed flow is refused. Without a routing, Dinic solves
+    from zero flow.
     """
-    bus_ids = list(grid.adjacency)
-    line_ids = list(grid.lines)
-    n = len(bus_ids)
-    bus_pos = {bus: i for i, bus in enumerate(bus_ids)}
     caps = snapshot.bus_totals(grid)
-    loads = [bus_load.values.get(bus, 0.0) for bus in bus_ids]
-    if min(loads, default=0.0) < 0.0:
-        raise ValueError("bus loads must be nonnegative")
-    if min(caps.values(), default=0.0) < 0.0:
-        raise ValueError("generation outputs must be nonnegative")
+    loads = {bus: bus_load.values.get(bus, 0.0) for bus in grid.adjacency}
+    for what, values in (("bus loads", loads), ("generation outputs", caps)):
+        for bus, value in values.items():
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"{what} must be finite and nonnegative: bus {bus} has {value!r}")
 
-    # Nodes: buses 0..n-1, source n, sink n+1. Arcs: source -> bus (cap),
-    # bus -> sink (load), then one uncapacitated arc per oriented line.
-    source, sink = n, n + 1
-    arcs = [(source, i, caps[bus]) for i, bus in enumerate(bus_ids)]
-    arcs += [(i, sink, loads[i]) for i in range(n)]
-    for line_id in line_ids:
-        frm, to = orientation.from_to(grid.lines[line_id])
-        arcs.append((bus_pos[frm], bus_pos[to], math.inf))
-    start = None
     if bus_load.routing is not None:
-        start = [caps[bus] for bus in bus_ids] + loads
-        for line_id in line_ids:
-            routed = bus_load.routing.get(line_id, 0.0)
+        flows = {line_id: bus_load.routing.get(line_id, 0.0) for line_id in grid.lines}
+        for line_id, routed in flows.items():
             if not 0.0 <= routed < math.inf:
                 raise ValueError(
                     f"line {line_id}: routed flow {routed!r} must be finite and nonnegative"
                 )
-            start.append(routed)
-    residual_caps, augmentations = _max_flow(n + 2, arcs, source, sink, start)
-
-    injections = {bus: caps[bus] - residual_caps[2 * i] for i, bus in enumerate(bus_ids)}
-    mismatch = {bus: residual_caps[2 * (n + i)] for i, bus in enumerate(bus_ids)}
-    flows = {
-        line_id: residual_caps[2 * (2 * n + k) + 1] for k, line_id in enumerate(line_ids)
-    }
+        injections, mismatch, augmentations = caps, dict.fromkeys(grid.adjacency, 0.0), 0
+    else:
+        # Nodes: buses 0..n-1, source n, sink n+1. Arcs: source -> bus (cap),
+        # bus -> sink (load), then one uncapacitated arc per oriented line.
+        bus_pos = {bus: i for i, bus in enumerate(grid.adjacency)}
+        n = len(bus_pos)
+        source, sink = n, n + 1
+        arcs = [(source, i, caps[bus]) for bus, i in bus_pos.items()]
+        arcs += [(i, sink, loads[bus]) for bus, i in bus_pos.items()]
+        for line in grid.lines.values():
+            frm, to = orientation.from_to(line)
+            arcs.append((bus_pos[frm], bus_pos[to], math.inf))
+        residual_caps, augmentations = _max_flow(n + 2, arcs, source, sink)
+        injections = {bus: caps[bus] - residual_caps[2 * i] for bus, i in bus_pos.items()}
+        mismatch = {bus: residual_caps[2 * (n + i)] for bus, i in bus_pos.items()}
+        flows = {l: residual_caps[2 * (2 * n + k) + 1] for k, l in enumerate(grid.lines)}
 
     residual = 0.0
-    for i, bus in enumerate(bus_ids):
-        balance = injections[bus] - loads[i] + mismatch[bus]
-        for line_id, neighbor in grid.adjacency[bus]:
+    for bus, incident in grid.adjacency.items():
+        balance = injections[bus] - loads[bus] + mismatch[bus]
+        for line_id, neighbor in incident:
             frm, _to = orientation.from_to(grid.lines[line_id])
             balance += -flows[line_id] if frm == bus else flows[line_id]
         residual = max(residual, abs(balance))
@@ -343,7 +337,7 @@ def solve_flow_lp(
         flows=MappingProxyType(flows),
         injections=MappingProxyType(injections),
         mismatch=MappingProxyType(mismatch),
-        loads=MappingProxyType({bus: loads[i] for i, bus in enumerate(bus_ids)}),
+        loads=MappingProxyType(loads),
         objective=math.fsum(mismatch.values()),
         max_residual=residual,
         iterations=augmentations,
@@ -364,8 +358,8 @@ def write_solution_files(
         "summary": out_dir / "summary.txt",
     }
     flows = (
-        (line_id, *orientation.from_to(grid.lines[line_id]), repr(solution.flows[line_id]))
-        for line_id in sorted(solution.flows)
+        (line_id, *orientation.from_to(line), repr(solution.flows[line_id]))
+        for line_id, line in grid.lines.items()
     )
     write_csv(paths["flows"], ("line_id", "from_bus", "to_bus", "flow_mw"), flows)
     write_csv(
@@ -378,7 +372,7 @@ def write_solution_files(
                 repr(solution.loads.get(bus, 0.0)),
                 repr(solution.mismatch[bus]),
             )
-            for bus in sorted(solution.injections)
+            for bus in grid.adjacency
         ),
     )
     write_text(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 from pathlib import Path
 from types import MappingProxyType
@@ -13,6 +14,7 @@ from gridtopo.dispatch import BusLoad, GenerationSnapshot
 from gridtopo.geometry import PlanarPoint, PlanarPolygon
 from gridtopo.graph import Grid, build_grid
 from gridtopo.ingest import (
+    AreaLoad,
     BusRecord,
     CityPolygon,
     GeneratorRecord,
@@ -20,6 +22,7 @@ from gridtopo.ingest import (
     LineRecord,
     PlanningArea,
     PopulationPoint,
+    build_dataset,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -296,3 +299,17 @@ def planar_lattice_records(rng, rows, cols, areas_per_side=4, cities=10) -> dict
         "city_polygons": city_polygons,
         "population_points": population_points,
     }
+
+
+def lattice_dataset(rng, rows, cols, positive_caps=False) -> GridDataset:
+    """``planar_lattice_records`` built with random area loads; with
+    ``positive_caps``, its 0 MW generators get 100 MW, so every
+    generation bus is online."""
+    records = planar_lattice_records(rng, rows, cols)
+    if positive_caps:
+        records["generators"] = [
+            dataclasses.replace(g, max_capacity_mw=g.max_capacity_mw or 100.0)
+            for g in records["generators"]
+        ]
+    loads = [AreaLoad(a.id, a.name, rng.uniform(1.0, 500.0)) for a in records["planning_areas"]]
+    return build_dataset(**records, area_loads=loads)

@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridtopo import dispatch
 from gridtopo.demand import DemandIndex, allocate_demand_index
 from gridtopo.direction import orient_all
 from gridtopo.dispatch import (
+    GenerationSnapshot,
     estimate_bus_load,
     make_snapshot,
     reachable_buses,
@@ -19,9 +21,7 @@ from gridtopo.dispatch import (
 )
 from gridtopo.graph import build_grid
 from gridtopo.ingest import (
-    AreaLoad,
     GeneratorRecord,
-    build_dataset,
     load_dataset,
     parse_generators,
     parse_snapshot_outputs,
@@ -32,9 +32,9 @@ from gridtopo.ingest import (
 from helpers import (
     FIXTURE_NAMES,
     FIXTURES,
+    lattice_dataset,
     lp_case,
     oracle_lp_objective,
-    planar_lattice_records,
     random_lp_instance,
     toy_dataset,
 )
@@ -412,6 +412,18 @@ def test_lp_rejects_negative_inputs():
     )
     with pytest.raises(ValueError, match="loads"):
         solve_flow_lp(orientation, grid, load, snap)
+    grid, orientation, snap, load = lp_case(
+        ["a", "b"], [("l1", "a", "b")], {"a": 1.0}, {"b": 1.0}
+    )
+    nan_load = dataclasses.replace(load, values={"a": math.nan, "b": 1.0})
+    with pytest.raises(ValueError, match="loads.*bus a"):
+        solve_flow_lp(orientation, grid, nan_load, snap)
+    infinite = GenerationSnapshot(outputs={"a": math.inf})
+    with pytest.raises(ValueError, match="generation.*bus a"):
+        solve_flow_lp(orientation, grid, load, infinite)
+    routed = dataclasses.replace(load, routing={"l1": 1.0})
+    with pytest.raises(ValueError, match="generation.*bus a"):
+        solve_flow_lp(orientation, grid, routed, infinite)
 
 
 def test_lp_refuses_a_negative_or_non_finite_routing():
@@ -504,17 +516,6 @@ def test_warm_solve_matches_cold_solve_on_fixtures(fixture, mode):
     _assert_warm_matches_cold(*_attributed(load_dataset(data), mode, snapshot_path))
 
 
-def _lattice_dataset(rng, rows, cols, positive_caps=False):
-    records = planar_lattice_records(rng, rows, cols)
-    if positive_caps:
-        records["generators"] = [
-            dataclasses.replace(g, max_capacity_mw=g.max_capacity_mw or 100.0)
-            for g in records["generators"]
-        ]
-    loads = [AreaLoad(a.id, a.name, rng.uniform(1.0, 500.0)) for a in records["planning_areas"]]
-    return build_dataset(**records, area_loads=loads)
-
-
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -523,26 +524,35 @@ def _lattice_dataset(rng, rows, cols, positive_caps=False):
     positive_caps=st.booleans(),
 )
 def test_warm_solve_matches_cold_solve_on_lattices(seed, rows, cols, positive_caps):
-    dataset = _lattice_dataset(random.Random(seed), rows, cols, positive_caps)
+    dataset = lattice_dataset(random.Random(seed), rows, cols, positive_caps)
     _assert_warm_matches_cold(*_attributed(dataset))
 
 
 def test_attributed_solve_takes_no_augmenting_path_at_scale():
     # 78 x 78 = 6084 buses with 608 generators online: started from zero
     # flow, Dinic takes thousands of augmenting paths here.
-    dataset = _lattice_dataset(random.Random(5), 78, 78, positive_caps=True)
+    dataset = lattice_dataset(random.Random(5), 78, 78, positive_caps=True)
     grid, orientation, snap, load = _attributed(dataset)
     solution = solve_flow_lp(orientation, grid, load, snap)
     assert solution.iterations == 0
     assert solution.max_residual <= 1e-6
 
 
-def test_a_perturbed_routing_shows_in_max_residual():
+def test_a_perturbed_routing_shows_in_max_residual(monkeypatch):
+    # A routing is returned as the solution: no max-flow runs to repair it.
+    def no_max_flow(*args):
+        raise AssertionError("a routed solve ran the max-flow")
+
+    monkeypatch.setattr(dispatch, "_max_flow", no_max_flow)
     grid, orientation, snap, load = _attributed(load_dataset(FIXTURES / "grid30"))
     line_id = max(load.routing, key=load.routing.get)
     routing = {**load.routing, line_id: load.routing[line_id] + 1.0}
     solution = solve_flow_lp(orientation, grid, dataclasses.replace(load, routing=routing), snap)
     assert solution.max_residual == pytest.approx(1.0)
+    assert solution.flows == {l: routing.get(l, 0.0) for l in grid.lines}
+    assert solution.injections == snap.bus_totals(grid)
+    assert all(e == 0.0 for e in solution.mismatch.values())
+    assert solution.iterations == 0
 
 
 def test_write_solution_files(tmp_path):

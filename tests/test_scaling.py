@@ -1,6 +1,6 @@
-"""Scaling guards: ingest-to-orientation work and CSV loading must grow
-about linearly, region assignment walks about one polygon per point, and
-a paper-scale solve through the CLI stays fast."""
+"""Scaling guards: ingest-to-orientation work, CSV loading and the
+solve chain must grow about linearly, region assignment walks about one
+polygon per point, and a paper-scale solve through the CLI stays fast."""
 
 import gc
 import os
@@ -12,13 +12,19 @@ from pathlib import Path
 
 import gridtopo
 from gridtopo import ingest
-from gridtopo.direction import orient_all
-from gridtopo.dispatch import make_snapshot
+from gridtopo.demand import allocate_demand_index
+from gridtopo.direction import orient_all, write_orientation_csv
+from gridtopo.dispatch import (
+    estimate_bus_load,
+    make_snapshot,
+    solve_flow_lp,
+    write_solution_files,
+)
 from gridtopo.geometry import locate
 from gridtopo.graph import build_grid
 from gridtopo.ingest import DATASET_FILES, AreaLoad, build_dataset, load_dataset
 
-from helpers import planar_lattice_records
+from helpers import lattice_dataset, planar_lattice_records
 
 
 def _cpu_seconds(work, arg) -> float:
@@ -67,6 +73,29 @@ def test_region_assignment_walks_about_one_polygon_per_point(monkeypatch):
     build_dataset(**records)
     points = len(records["buses"]) + len(records["population_points"])
     assert calls <= 2 * points, f"{calls} locate calls for {points} points"
+
+
+def _solve_chain(case) -> None:
+    grid, snapshot, orientation, demand_index, out_dir = case
+    load = estimate_bus_load(demand_index, snapshot, orientation, grid)
+    solution = solve_flow_lp(orientation, grid, load, snapshot)
+    write_solution_files(solution, orientation, grid, out_dir)
+    write_orientation_csv(orientation, grid, out_dir / "orientation.csv")
+
+
+def _solve_case(rows, cols, out_dir):
+    dataset = lattice_dataset(random.Random(5), rows, cols, positive_caps=True)
+    grid = build_grid(dataset)
+    snapshot = make_snapshot(dataset)
+    orientation = orient_all(grid, snapshot)
+    return grid, snapshot, orientation, allocate_demand_index(dataset), out_dir
+
+
+def test_solve_chain_scales_linearly(tmp_path):
+    # Bus loads, the flow solve and both writers, every generator online.
+    small = _solve_case(39, 39, tmp_path / "small")
+    large = _solve_case(78, 78, tmp_path / "large")
+    _assert_about_linear(_solve_chain, small, large)
 
 
 def _write_dataset(records, data_dir) -> None:
