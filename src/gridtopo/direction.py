@@ -11,13 +11,14 @@ first:
    its terminals: the line is deliberately left undirected here.
 3. Endpoint classes differing: high feeds low.
 
-Stage 2 collects the still-undirected lines into connected residual
-subgraphs and orients each by multi-source BFS from its entry points:
-buses of the top voltage class (only meaningful when the subgraph
-mixes classes), buses with active generation, and buses already fed by
-a stage-1 direction. BFS tree edges point parent to child; leftover
-non-tree edges get a seeded-random direction, which cannot break
-reachability. Heuristic directions are never overwritten.
+Stage 2 walks the grid's adjacency for the connected residual
+subgraphs of still-undirected lines and orients each by multi-source
+BFS from its entry points: buses of the top voltage class (only
+meaningful when the subgraph mixes classes), buses with active
+generation, and the heads of stage-1 lines, which stage 1 records as
+it decides. BFS tree edges point parent to child; leftover non-tree
+edges get a seeded-random direction, which cannot break reachability.
+Heuristic directions are never overwritten.
 
 All voltage comparisons use :func:`gridtopo.graph.voltage_class`, so
 240 kV and 500 kV are interchangeable. The whole procedure is a pure
@@ -96,12 +97,13 @@ class Orientation:
 
 @dataclass(frozen=True)
 class PartialOrientation:
-    """Stage-1 output: heuristic directions plus deferred lines."""
+    """Stage-1 output: heuristic directions, the buses they feed (``fed``), and deferred lines."""
 
     directions: Mapping[str, Direction]
     provenance: Mapping[str, Provenance]
     conflicts: tuple[str, ...]
     free_flow: frozenset[str]  # undirected lines deferred by rule 2
+    fed: frozenset[str]
 
 
 @dataclass(frozen=True, slots=True)
@@ -125,6 +127,7 @@ def apply_heuristics(
     provenance: dict[str, Provenance] = {}
     conflicts: list[str] = []
     free_flow: set[str] = set()
+    fed: set[str] = set()
 
     for line_id, line in grid.lines.items():
         class_a = grid.bus_class(line.endpoint_a)
@@ -140,60 +143,58 @@ def apply_heuristics(
             voltage_rule = Direction.B_TO_A
 
         if active_a and active_b:
-            directions[line_id] = (
-                Direction.A_TO_B if rng.coin(seed, line_id) else Direction.B_TO_A
-            )
-            provenance[line_id] = Provenance.BOTH_ENDS_GENERATOR_RANDOM
-            continue
-        if active_a or active_b:
+            chosen = Direction.A_TO_B if rng.coin(seed, line_id) else Direction.B_TO_A
+            rule = Provenance.BOTH_ENDS_GENERATOR_RANDOM
+        elif active_a or active_b:
             chosen = Direction.A_TO_B if active_a else Direction.B_TO_A
-            directions[line_id] = chosen
-            provenance[line_id] = Provenance.GENERATOR_SOURCE
+            rule = Provenance.GENERATOR_SOURCE
             if voltage_rule is not None and voltage_rule is not chosen:
                 conflicts.append(line_id)
-            continue
-        if class_line < class_a and class_line < class_b:
+        elif class_line < class_a and class_line < class_b:
             free_flow.add(line_id)
             continue
-        if voltage_rule is not None:
-            directions[line_id] = voltage_rule
-            provenance[line_id] = Provenance.TWO_END_VOLTAGE
+        elif voltage_rule is not None:
+            chosen, rule = voltage_rule, Provenance.TWO_END_VOLTAGE
+        else:
+            continue
+        directions[line_id] = chosen
+        provenance[line_id] = rule
+        fed.add(line.endpoint_b if chosen is Direction.A_TO_B else line.endpoint_a)
 
     return PartialOrientation(
         directions=MappingProxyType(directions),
         provenance=MappingProxyType(provenance),
         conflicts=tuple(sorted(conflicts)),
         free_flow=frozenset(free_flow),
+        fed=frozenset(fed),
     )
 
 
 def residual_subgraphs(grid: Grid, partial: PartialOrientation) -> tuple[ResidualSubgraph, ...]:
-    """Connected components of the grid restricted to undirected lines."""
-    undirected = [l for l in grid.lines if l not in partial.directions]
-    incident: dict[str, list[tuple[str, str]]] = {}
-    for line_id in undirected:
-        line = grid.lines[line_id]
-        incident.setdefault(line.endpoint_a, []).append((line_id, line.endpoint_b))
-        incident.setdefault(line.endpoint_b, []).append((line_id, line.endpoint_a))
-
+    """Connected components of the grid restricted to undirected lines,
+    in order of their lowest bus id."""
+    directed = partial.directions
     seen: set[str] = set()
     subgraphs: list[ResidualSubgraph] = []
-    for start in sorted(incident):
-        if start in seen:
+    for line_id, line in grid.lines.items():
+        if line_id in directed or line.endpoint_a in seen:
             continue
-        seen.add(start)
-        stack = [start]
+        seen.add(line.endpoint_a)
+        stack = [line.endpoint_a]
         buses: list[str] = []
         line_ids: set[str] = set()
         while stack:
             bus = stack.pop()
             buses.append(bus)
-            for line_id, neighbor in incident[bus]:
-                line_ids.add(line_id)
+            for incident_id, neighbor in grid.adjacency[bus]:
+                if incident_id in directed:
+                    continue
+                line_ids.add(incident_id)
                 if neighbor not in seen:
                     seen.add(neighbor)
                     stack.append(neighbor)
         subgraphs.append(ResidualSubgraph(tuple(sorted(buses)), tuple(sorted(line_ids))))
+    subgraphs.sort(key=lambda subgraph: subgraph.buses[0])
     return tuple(subgraphs)
 
 
@@ -212,35 +213,22 @@ def entry_points(
     every rule comes up empty the lowest-id bus serves as entry so the
     subgraph still gets a deterministic orientation.
 
-    Only the subgraph's own buses and their adjacency rows are read, so
-    the cost is O(subgraph buses + their degree): every stage-1 directed
-    line appears in its head's adjacency row.
+    Only the subgraph's own buses are read, each looked up once in the
+    snapshot and in ``partial.fed``, so the cost is O(subgraph buses)
+    and no adjacency row is walked.
     """
     classes = {bus: grid.bus_class(bus) for bus in subgraph.buses}
     top = max(classes.values())
     entries: set[str] = set()
     if min(classes.values()) < top:
         entries.update(bus for bus, cls in classes.items() if cls == top)
-
     for bus in subgraph.buses:
-        if snapshot.outputs.get(bus, 0.0) > 0.0 or _fed_by_stage_one(bus, grid, partial):
+        if snapshot.outputs.get(bus, 0.0) > 0.0 or bus in partial.fed:
             entries.add(bus)
 
     if entries:
         return tuple(sorted(entries)), False
     return (subgraph.buses[0],), True
-
-
-def _fed_by_stage_one(bus: str, grid: Grid, partial: PartialOrientation) -> bool:
-    for line_id, _neighbor in grid.adjacency[bus]:
-        direction = partial.directions.get(line_id)
-        if direction is None:
-            continue
-        line = grid.lines[line_id]
-        head = line.endpoint_b if direction is Direction.A_TO_B else line.endpoint_a
-        if head == bus:
-            return True
-    return False
 
 
 def bfs_orient(

@@ -325,12 +325,12 @@ def solve_flow_lp(
         mismatch = {bus: residual_caps[2 * (n + i)] for bus, i in bus_pos.items()}
         flows = {l: residual_caps[2 * (2 * n + k) + 1] for k, l in enumerate(grid.lines)}
 
+    tails = {line_id: orientation.from_to(line)[0] for line_id, line in grid.lines.items()}
     residual = 0.0
     for bus, incident in grid.adjacency.items():
         balance = injections[bus] - loads[bus] + mismatch[bus]
-        for line_id, neighbor in incident:
-            frm, _to = orientation.from_to(grid.lines[line_id])
-            balance += -flows[line_id] if frm == bus else flows[line_id]
+        for line_id, _neighbor in incident:
+            balance += -flows[line_id] if tails[line_id] == bus else flows[line_id]
         residual = max(residual, abs(balance))
 
     return FlowSolution(

@@ -187,6 +187,23 @@ def test_orient_timepoint_prints_the_snapshot_warning(capsys, tmp_path):
     assert err == "warning: generator G03 output 260.0 exceeds capacity 250.0; accepted\n"
 
 
+def test_orient_prints_the_fallback_entry_warning_for_a_signal_less_island(capsys, tmp_path):
+    data = tmp_path / "data"
+    shutil.copytree(FIXTURES / "pair", data)
+    with open(data / "Substation.csv", "a", encoding="utf-8") as fh:
+        fh.write("S3,Gamma,25.0,3.0,138.0\nS4,Delta,35.0,3.0,138.0\n")
+    with open(data / "Line.csv", "a", encoding="utf-8") as fh:
+        fh.write("L2,S3,S4,138.0\n")
+    code, _out, err = run(
+        capsys, "orient", "--data-dir", str(data), "--out", str(tmp_path / "orientation.csv")
+    )
+    assert code == 0
+    assert err == (
+        "warning: no entry point found for subgraph starting at S3; "
+        "falling back to its lowest-id bus\n"
+    )
+
+
 def test_missing_dataset_is_validation_error(capsys, tmp_path):
     code, _out, err = run(capsys, "validate", "--data-dir", str(tmp_path))
     assert code == 1

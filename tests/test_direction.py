@@ -1,4 +1,6 @@
+import dataclasses
 import random
+from collections.abc import Mapping
 from types import MappingProxyType
 
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from gridtopo.direction import (
     Direction,
     Provenance,
+    ResidualSubgraph,
     apply_heuristics,
     bfs_orient,
     entry_points,
@@ -213,6 +216,7 @@ def _all_residual(grid):
         provenance=MappingProxyType({}),
         conflicts=(),
         free_flow=frozenset(),
+        fed=frozenset(),
     )
 
 
@@ -280,7 +284,9 @@ def test_orient_all_mixed_fixture_provenances():
     assert counts[Provenance.BOTH_ENDS_GENERATOR_RANDOM] == 2  # parallel pair
     assert counts[Provenance.GENERATOR_SOURCE] == 1
     assert counts[Provenance.SPECIAL_FREE_FLOW] == 1  # island tree edge
-    assert orientation.warnings  # fallback entry on the island
+    assert orientation.warnings == (
+        "no entry point found for subgraph starting at S4; falling back to its lowest-id bus",
+    )
     assert orientation.directions["L4"] is Direction.A_TO_B  # lowest-id entry
 
 
@@ -403,7 +409,34 @@ def test_read_orientation_csv_rejects_malformed_file(tmp_path, text, error, row)
     assert (err.value.path, err.value.row) == (path, row)
 
 
-# --- linear entry points against the full-scan definition -------------------------
+# --- stage 2 against its full-scan definitions ------------------------------------
+
+def _reference_residual_subgraphs(grid, partial):
+    """The incident-map definition: components over a map of undirected
+    lines per bus, started from each bus in sorted order."""
+    incident = {}
+    for line_id, line in grid.lines.items():
+        if line_id not in partial.directions:
+            incident.setdefault(line.endpoint_a, []).append((line_id, line.endpoint_b))
+            incident.setdefault(line.endpoint_b, []).append((line_id, line.endpoint_a))
+    seen = set()
+    subgraphs = []
+    for start in sorted(incident):
+        if start in seen:
+            continue
+        seen.add(start)
+        stack, buses, line_ids = [start], [], set()
+        while stack:
+            bus = stack.pop()
+            buses.append(bus)
+            for line_id, neighbor in incident[bus]:
+                line_ids.add(line_id)
+                if neighbor not in seen:
+                    seen.add(neighbor)
+                    stack.append(neighbor)
+        subgraphs.append(ResidualSubgraph(tuple(sorted(buses)), tuple(sorted(line_ids))))
+    return tuple(subgraphs)
+
 
 def _reference_entry_points(subgraph, grid, snapshot, partial):
     """The full-scan definition: every generator and every stage-1 line."""
@@ -451,12 +484,50 @@ def _oracle_case(rng):
     return build_grid(dataset), snapshot_for(dataset)
 
 
+def test_residual_subgraphs_match_incident_map_reference():
+    rng = random.Random(7070)
+    cases = [_oracle_case(rng) for _ in range(40)]
+    cases += [(build_grid(d), snapshot_for(d)) for d in lattice_datasets(random.Random(7071), 8)]
+    subgraph_count = 0
+    for grid, snap in cases:
+        for partial in (apply_heuristics(grid, snap), _all_residual(grid)):
+            expected = _reference_residual_subgraphs(grid, partial)
+            assert residual_subgraphs(grid, partial) == expected
+            subgraph_count += len(expected)
+    assert subgraph_count > len(cases)
+
+
+class _CountingRows(Mapping):
+    """An adjacency mapping that counts the rows read from it."""
+
+    def __init__(self, rows):
+        self.rows = rows
+        self.reads = 0
+
+    def __getitem__(self, bus):
+        self.reads += 1
+        return self.rows[bus]
+
+    def __iter__(self):
+        return iter(self.rows)
+
+    def __len__(self):
+        return len(self.rows)
+
+
 def test_entry_points_match_full_scan_reference():
     rng = random.Random(8080)
     seen = {"uniform": 0, "mixed": 0, "generation": 0, "no_generation": 0, "fallback": 0}
     for _ in range(40):
         grid, snap = _oracle_case(rng)
         partial = apply_heuristics(grid, snap)
+        assert partial.fed == {
+            grid.lines[l].endpoint_b if d is Direction.A_TO_B else grid.lines[l].endpoint_a
+            for l, d in partial.directions.items()
+        }
+        # Entry points must read no adjacency row of ``counted``.
+        rows = _CountingRows(grid.adjacency)
+        counted = dataclasses.replace(grid, adjacency=rows)
         # A snapshot other than the partial's must be the one that is read.
         other = GenerationSnapshot(
             outputs=MappingProxyType({b: rng.choice([0.0, 5.0]) for b in snap.outputs})
@@ -464,12 +535,13 @@ def test_entry_points_match_full_scan_reference():
         for sub in residual_subgraphs(grid, partial):
             for snapshot in (snap, other):
                 expected = _reference_entry_points(sub, grid, snapshot, partial)
-                assert entry_points(sub, grid, snapshot, partial) == expected
+                assert entry_points(sub, counted, snapshot, partial) == expected
                 generating = any(snapshot.outputs.get(b, 0.0) > 0.0 for b in sub.buses)
                 seen["generation" if generating else "no_generation"] += 1
                 seen["fallback"] += expected[1]
             classes = {grid.bus_class(b) for b in sub.buses}
             seen["uniform" if len(classes) == 1 else "mixed"] += 1
+        assert rows.reads == 0
     assert all(count > 0 for count in seen.values()), seen
 
 
@@ -479,6 +551,7 @@ def test_orient_all_matches_full_scan_reference(monkeypatch):
     rng = random.Random(9090)
     cases = [(_oracle_case(rng), rng.randrange(10_000)) for _ in range(15)]
     linear = [orient_all(grid, snap, seed) for (grid, snap), seed in cases]
+    monkeypatch.setattr(direction_module, "residual_subgraphs", _reference_residual_subgraphs)
     monkeypatch.setattr(direction_module, "entry_points", _reference_entry_points)
     for ((grid, snap), seed), got in zip(cases, linear):
         want = orient_all(grid, snap, seed)
