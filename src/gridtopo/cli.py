@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import traceback
 from pathlib import Path
 
 from . import __version__, ingest
@@ -277,6 +276,8 @@ def cli_main(argv=None) -> int:
         code = exc.code if isinstance(exc.code, int) else 0
         return code
     except Exception:
+        import traceback  # only an internal error needs it
+
         traceback.print_exc()
         return 2
 

@@ -2,7 +2,10 @@
 
 Coordinates are abstract planar units (digitized map positions). No
 geodesy, projection, or datum handling is applied anywhere; the numbers
-are taken at face value.
+are taken at face value. A point is a plain ``(x, y)`` pair of finite
+floats, not an object of its own. ``ingest`` checks each coordinate
+once, where it parses it; :class:`PlanarPolygon` checks its vertices,
+so a polygon built in code holds finite ones too.
 
 Region assignment rests on one walk, :func:`locate`, which tells a point
 ``OUTSIDE``, on the ``BOUNDARY`` of, or ``INSIDE`` a polygon. It rejects
@@ -36,20 +39,11 @@ from dataclasses import dataclass, field
 OUTSIDE, BOUNDARY, INSIDE = 0, 1, 2
 
 
-@dataclass(frozen=True, slots=True)
-class PlanarPoint:
-    """A point in abstract planar map units."""
-
-    x: float
-    y: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError(f"non-finite coordinate ({self.x}, {self.y})")
-
+#: A point in abstract planar map units: ``(x, y)``, both finite.
+Point = tuple[float, float]
 
 #: A run of consecutive ring vertices; its edges are its consecutive pairs.
-Chain = tuple[PlanarPoint, ...]
+Chain = tuple[Point, ...]
 
 
 @dataclass(frozen=True, slots=True)
@@ -60,6 +54,7 @@ class PlanarPolygon:
     Containment uses even-odd semantics, so ring orientation is
     irrelevant and holes simply toggle insideness. Each stored ring is
     normalized to be explicitly closed (first vertex == last vertex).
+    Every coordinate must be finite (``ValueError`` otherwise).
     ``bbox`` is ``(min_x, min_y, max_x, max_y)`` over every vertex.
     ``bands`` is ``(scale, chains by band)``: the bbox's height cut into
     ``k = isqrt(edge count)`` bands of equal height, band
@@ -73,7 +68,7 @@ class PlanarPolygon:
     :func:`locate` walks its rings whole.
     """
 
-    rings: tuple[tuple[PlanarPoint, ...], ...]
+    rings: tuple[tuple[Point, ...], ...]
     bbox: tuple[float, float, float, float] = field(init=False, compare=False, repr=False)
     bands: tuple[float, tuple[tuple[Chain, ...], ...]] = field(
         init=False, compare=False, repr=False
@@ -82,17 +77,20 @@ class PlanarPolygon:
     def __post_init__(self) -> None:
         if not self.rings:
             raise ValueError("polygon needs at least one ring")
-        normalized = []
+        rings = []
         for ring in self.rings:
             ring = tuple(ring)
             if ring and ring[0] == ring[-1]:
                 ring = ring[:-1]
-            if len({(p.x, p.y) for p in ring}) < 3:
-                raise ValueError("ring needs at least 3 distinct vertices")
-            normalized.append(ring + (ring[0],))
-        object.__setattr__(self, "rings", tuple(normalized))
-        xs = [p.x for ring in normalized for p in ring]
-        ys = [p.y for ring in normalized for p in ring]
+            rings.append(ring)
+        xs = [x for ring in rings for x, _ in ring]
+        ys = [y for ring in rings for _, y in ring]
+        if not (all(map(math.isfinite, xs)) and all(map(math.isfinite, ys))):
+            bad = next(p for p in zip(xs, ys) if not all(map(math.isfinite, p)))
+            raise ValueError(f"non-finite coordinate {bad}")
+        if any(len(set(ring)) < 3 for ring in rings):
+            raise ValueError("ring needs at least 3 distinct vertices")
+        object.__setattr__(self, "rings", tuple(ring + ring[:1] for ring in rings))
         min_y, max_y = min(ys), max(ys)
         object.__setattr__(self, "bbox", (min(xs), min_y, max(xs), max_y))
         object.__setattr__(self, "bands", _bands(self.rings, min_y, max_y - min_y))
@@ -104,7 +102,7 @@ _NO_BANDS: tuple[float, tuple] = (0.0, ())
 
 
 def _bands(
-    rings: tuple[tuple[PlanarPoint, ...], ...], min_y: float, height: float
+    rings: tuple[tuple[Point, ...], ...], min_y: float, height: float
 ) -> tuple[float, tuple[tuple[Chain, ...], ...]]:
     """``PlanarPolygon.bands``, from one band index per vertex: an edge
     goes into every band from its lower endpoint's to its upper one's."""
@@ -116,7 +114,7 @@ def _bands(
     bands: list[list[Chain]] = [[] for _ in range(k)]
     for ring in rings:
         # min(last, int((y - min_y) * scale)), as in locate
-        at = [j if (j := int((p.y - min_y) * scale)) < k else last for p in ring]
+        at = [j if (j := int((y - min_y) * scale)) < k else last for _, y in ring]
         edges: list[list[int]] = [[] for _ in range(k)]
         for i, ja, jb in zip(range(len(ring)), at, at[1:]):
             if ja == jb:
@@ -132,17 +130,15 @@ def _bands(
     return scale, tuple(map(tuple, bands))
 
 
-def _on_segment(p: PlanarPoint, a: PlanarPoint, b: PlanarPoint) -> bool:
-    cross = (b.x - a.x) * (p.y - a.y) - (b.y - a.y) * (p.x - a.x)
+def _on_segment(p: Point, a: Point, b: Point) -> bool:
+    (px, py), (ax, ay), (bx, by) = p, a, b
+    cross = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
     if cross != 0.0:
         return False
-    return (
-        min(a.x, b.x) <= p.x <= max(a.x, b.x)
-        and min(a.y, b.y) <= p.y <= max(a.y, b.y)
-    )
+    return min(ax, bx) <= px <= max(ax, bx) and min(ay, by) <= py <= max(ay, by)
 
 
-def locate(p: PlanarPoint, poly: PlanarPolygon) -> int:
+def locate(p: Point, poly: PlanarPolygon) -> int:
     """Even-odd ray cast: ``OUTSIDE``, ``BOUNDARY`` or ``INSIDE``.
 
     A point lying exactly on any edge (in the float arithmetic sense) is
@@ -151,12 +147,12 @@ def locate(p: PlanarPoint, poly: PlanarPolygon) -> int:
     this also keeps rounding in the crossing abscissa from counting a
     point just left of a vertex as inside. Otherwise only the chains of
     ``p``'s band (``PlanarPolygon.bands``) are walked, or every ring of
-    a polygon without bands: ``p.y`` goes to its band by the formula
+    a polygon without bands: ``p``'s y goes to its band by the formula
     that placed the edges, which is monotone in y, so every edge whose
-    y-range holds ``p.y`` is there. An edge whose y-range misses ``p.y``
-    is skipped: it can neither hold ``p`` nor cross its ray.
+    y-range holds it is there. An edge whose y-range misses it is
+    skipped: it can neither hold ``p`` nor cross its ray.
     """
-    px, py = p.x, p.y
+    px, py = p
     min_x, min_y, max_x, max_y = poly.bbox
     if px < min_x or px > max_x or py < min_y or py > max_y:
         return OUTSIDE
@@ -165,14 +161,14 @@ def locate(p: PlanarPoint, poly: PlanarPolygon) -> int:
     inside = False
     for chain in band:
         for a, b in zip(chain, chain[1:]):
-            ay, by = a.y, b.y
+            (ax, ay), (bx, by) = a, b
             if (py < ay and py < by) or (py > ay and py > by):
                 continue
             if _on_segment(p, a, b):
                 return BOUNDARY
             # Half-open vertical rule: each edge covers [min(y), max(y)).
             if (ay > py) != (by > py):
-                x_cross = a.x + (py - ay) * (b.x - a.x) / (by - ay)
+                x_cross = ax + (py - ay) * (bx - ax) / (by - ay)
                 if px < x_cross:
                     inside = not inside
     return INSIDE if inside else OUTSIDE

@@ -23,9 +23,10 @@ row-level error names the file and the physical row (the header is row
 1) of the offending record. Each parser is a converter from one raw row,
 the ``csv.reader`` list read by the fixed column positions of its
 schema, to one record, run by :func:`_read_rows`, which alone attaches
-that location. Cross-file references (line endpoints, generator buses, load
-area ids) are checked at link time in :func:`build_dataset`, not at
-parse time.
+that location. A point is a plain ``(x, y)`` float pair, checked finite
+once, where its floats are parsed. Cross-file references (line
+endpoints, generator buses, load area ids) are checked at link time in
+:func:`build_dataset`, not at parse time.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .geometry import BOUNDARY, PlanarPoint, PlanarPolygon, locate
+from .geometry import BOUNDARY, PlanarPolygon, Point, locate
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +101,7 @@ class BusRecord:
 
     id: str
     name: str
-    location: PlanarPoint
+    location: Point
     voltage_kv: float
     planning_area_id: str | None = None
     is_urban: bool = False
@@ -114,7 +115,7 @@ class LineRecord:
     endpoint_a: str
     endpoint_b: str
     voltage_kv: float
-    geometry: tuple[PlanarPoint, ...] | None = None
+    geometry: tuple[Point, ...] | None = None
 
 
 @dataclass(frozen=True, slots=True)
@@ -146,7 +147,7 @@ class PlanningArea:
 @dataclass(frozen=True, slots=True)
 class PopulationPoint:
     city_id: str
-    location: PlanarPoint
+    location: Point
     population: int
 
 
@@ -301,8 +302,8 @@ def _voltage(raw: str) -> float:
     return kv
 
 
-def _point(x: str, y: str) -> PlanarPoint:
-    return PlanarPoint(_float(x, "x"), _float(y, "y"))
+def _point(x: str, y: str) -> Point:
+    return (_float(x, "x"), _float(y, "y"))
 
 
 def _fmt(value: float) -> str:
@@ -312,7 +313,7 @@ def _fmt(value: float) -> str:
 _WKT_LINESTRING = re.compile(r"^\s*LINESTRING\s*\((.*)\)\s*$", re.IGNORECASE)
 
 
-def parse_wkt_linestring(text: str) -> tuple[PlanarPoint, ...]:
+def parse_wkt_linestring(text: str) -> tuple[Point, ...]:
     match = _WKT_LINESTRING.match(text)
     if not match:
         raise ValueError(f"not a WKT LINESTRING: {text!r}")
@@ -321,14 +322,17 @@ def parse_wkt_linestring(text: str) -> tuple[PlanarPoint, ...]:
         parts = chunk.split()
         if len(parts) != 2:
             raise ValueError(f"bad WKT coordinate pair: {chunk!r}")
-        points.append(PlanarPoint(float(parts[0]), float(parts[1])))
+        x, y = float(parts[0]), float(parts[1])
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ValueError(f"non-finite coordinate ({x}, {y})")
+        points.append((x, y))
     if len(points) < 2:
         raise ValueError("LINESTRING needs at least 2 points")
     return tuple(points)
 
 
-def format_wkt_linestring(points: Iterable[PlanarPoint]) -> str:
-    inner = ", ".join(f"{_fmt(p.x)} {_fmt(p.y)}" for p in points)
+def format_wkt_linestring(points: Iterable[Point]) -> str:
+    inner = ", ".join(f"{_fmt(x)} {_fmt(y)}" for x, y in points)
     return f"LINESTRING ({inner})"
 
 
@@ -347,25 +351,30 @@ def parse_buses(path) -> list[BusRecord]:
     return _read_rows(path, ("id", "name", "x", "y", "voltage_kv"), _bus, kind="bus")
 
 
-def _line(row) -> LineRecord:
-    bus_a = _require_id(row[1], "bus_a")
-    bus_b = _require_id(row[2], "bus_b")
-    if bus_a == bus_b:
-        raise InvalidValue(f"line {row[0]} is a self-loop on {bus_a}")
-    kv = _voltage(row[3])
-    geometry = None
-    raw_wkt = row[4].strip() if len(row) > 4 else ""
-    if raw_wkt:
-        try:
-            geometry = parse_wkt_linestring(raw_wkt)
-        except ValueError as exc:
-            raise InvalidValue(str(exc)) from None
-    return LineRecord(row[0], bus_a, bus_b, kv, geometry)
-
-
 def parse_lines(path) -> list[LineRecord]:
+    """Parse Line.csv. The lines of one parse that meet at a bus hold one
+    ``str`` object for its id, not one per line end."""
+    endpoints: dict[str, str] = {}
+
+    def line(row) -> LineRecord:
+        bus_a = _require_id(row[1], "bus_a")
+        bus_b = _require_id(row[2], "bus_b")
+        if bus_a == bus_b:
+            raise InvalidValue(f"line {row[0]} is a self-loop on {bus_a}")
+        kv = _voltage(row[3])
+        geometry = None
+        raw_wkt = row[4].strip() if len(row) > 4 else ""
+        if raw_wkt:
+            try:
+                geometry = parse_wkt_linestring(raw_wkt)
+            except ValueError as exc:
+                raise InvalidValue(str(exc)) from None
+        bus_a = endpoints.setdefault(bus_a, bus_a)
+        bus_b = endpoints.setdefault(bus_b, bus_b)
+        return LineRecord(row[0], bus_a, bus_b, kv, geometry)
+
     return _read_rows(
-        path, ("id", "bus_a", "bus_b", "voltage_kv"), _line, ("wkt_geometry",), kind="line"
+        path, ("id", "bus_a", "bus_b", "voltage_kv"), line, ("wkt_geometry",), kind="line"
     )
 
 
@@ -385,24 +394,41 @@ _BORDER_COLUMNS = ("name", "ring_index", "vertex_index", "x", "y")
 
 def _parse_border_rows(path, id_column: str, make) -> list:
     """Read one of the two border files into ``make(id, name, polygon)``
-    per shape, in file order."""
-    # vertices[id] -> {ring_index: {vertex_index: point}}, ids in file order
-    vertices: dict[str, dict[int, dict[int, PlanarPoint]]] = defaultdict(lambda: defaultdict(dict))
+    per shape, in file order.
+
+    A row's fields go through the ``int`` and ``float`` builtins in one
+    step. Only a row that fails there (a field that is no number, an
+    empty id, a negative index or a non-finite coordinate) goes through
+    the checked converters, one field at a time, which raise the error
+    of its first fault; so every row is judged as by the checked chain
+    alone, and a well-formed row costs no more than its conversions.
+    """
+    # vertices[id] -> {ring_index: {vertex_index: (x, y)}}, ids in file order
+    vertices: dict[str, dict[int, dict[int, Point]]] = defaultdict(lambda: defaultdict(dict))
     names: dict[str, str] = {}
 
     def add_vertex(row) -> None:
-        shape_id = _require_id(row[0], id_column)
-        ring_i = _int(row[2], "ring_index")
-        vertex_i = _int(row[3], "vertex_index")
-        if ring_i < 0 or vertex_i < 0:
-            raise InvalidValue("negative ring/vertex index")
-        point = _point(row[4], row[5])
+        try:
+            shape_id = row[0].strip()
+            ring_i, vertex_i = int(row[2]), int(row[3])
+            x, y = float(row[4]), float(row[5])
+            # x + y is finite if both are, unless it overflows; the
+            # checked chain lets such a row through
+            if not shape_id or ring_i < 0 or vertex_i < 0 or not math.isfinite(x + y):
+                raise ValueError
+        except ValueError:
+            shape_id = _require_id(row[0], id_column)
+            ring_i = _int(row[2], "ring_index")
+            vertex_i = _int(row[3], "vertex_index")
+            if ring_i < 0 or vertex_i < 0:
+                raise InvalidValue("negative ring/vertex index")
+            x, y = _point(row[4], row[5])
         if names.setdefault(shape_id, row[1]) != row[1]:
             raise InvalidValue(f"{id_column} {shape_id} listed under two names")
         ring = vertices[shape_id][ring_i]
         if vertex_i in ring:
             raise DuplicateId(f"duplicate vertex {vertex_i} in ring {ring_i} of {shape_id}")
-        ring[vertex_i] = point
+        ring[vertex_i] = (x, y)
 
     _read_rows(path, (id_column, *_BORDER_COLUMNS), add_vertex)
 
@@ -494,7 +520,7 @@ def serialize_buses(records: Iterable[BusRecord]) -> str:
     return _write_csv(
         ("id", "name", "x", "y", "voltage_kv"),
         (
-            (b.id, b.name, _fmt(b.location.x), _fmt(b.location.y), _fmt(b.voltage_kv))
+            (b.id, b.name, _fmt(b.location[0]), _fmt(b.location[1]), _fmt(b.voltage_kv))
             for b in records
         ),
     )
@@ -533,10 +559,10 @@ def _serialize_borders(shapes: Iterable[PlanningArea | CityPolygon], id_column: 
     return _write_csv(
         (id_column, *_BORDER_COLUMNS),
         (
-            (s.id, s.name, str(ring_i), str(vertex_i), _fmt(p.x), _fmt(p.y))
+            (s.id, s.name, str(ring_i), str(vertex_i), _fmt(x), _fmt(y))
             for s in shapes
             for ring_i, ring in enumerate(s.boundary.rings)
-            for vertex_i, p in enumerate(ring[:-1])  # open form on disk
+            for vertex_i, (x, y) in enumerate(ring[:-1])  # open form on disk
         ),
     )
 
@@ -553,7 +579,7 @@ def serialize_population_points(points: Iterable[PopulationPoint]) -> str:
     return _write_csv(
         ("city_id", "x", "y", "population"),
         (
-            (p.city_id, _fmt(p.location.x), _fmt(p.location.y), str(p.population))
+            (p.city_id, _fmt(p.location[0]), _fmt(p.location[1]), str(p.population))
             for p in points
         ),
     )
@@ -569,13 +595,13 @@ def serialize_snapshot_outputs(outputs: Mapping[str, float]) -> str:
 # ---------------------------------------------------------------------------
 # Linking, region assignment, validation
 
-def _holding(point: PlanarPoint, shapes: Sequence[PlanningArea | CityPolygon]) -> list:
+def _holding(point: Point, shapes: Sequence[PlanningArea | CityPolygon]) -> list:
     """``(shape, locate(point, shape.boundary))`` for each of ``shapes``
     whose boundary holds ``point``, in order. Nearly every shape misses
     every point, so one whose bounding box misses it (inclusive, so a
     boundary point is kept) gets no :func:`locate` call, and a miss
     builds no tuple."""
-    x, y = point.x, point.y
+    x, y = point
     return [
         (s, w) for s in shapes
         if (box := s.boundary.bbox)[0] <= x <= box[2] and box[1] <= y <= box[3]
@@ -584,7 +610,7 @@ def _holding(point: PlanarPoint, shapes: Sequence[PlanningArea | CityPolygon]) -
 
 
 def _area_of(
-    point: PlanarPoint, planning_areas: Sequence[PlanningArea], subject: str
+    point: Point, planning_areas: Sequence[PlanningArea], subject: str
 ) -> PlanningArea | None:
     """The planning area holding ``point``; None outside every area.
 
@@ -759,7 +785,7 @@ def validate_dataset(dataset: GridDataset) -> ValidationReport:
     duplicates = []
     seen_locations: dict[tuple[float, float], str] = {}
     for bus in dataset.buses:
-        key = (bus.location.x, bus.location.y)
+        key = bus.location
         if key in seen_locations:
             duplicates.append(f"buses {seen_locations[key]},{bus.id}")
         else:
@@ -768,7 +794,7 @@ def validate_dataset(dataset: GridDataset) -> ValidationReport:
     for line in dataset.lines:
         if line.geometry is None:
             continue  # bare parallel circuits are legitimate, not duplicates
-        key = tuple((p.x, p.y) for p in line.geometry)
+        key = line.geometry
         if key in seen_geometry:
             duplicates.append(f"lines {seen_geometry[key]},{line.id}")
         else:

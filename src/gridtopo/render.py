@@ -88,14 +88,14 @@ def render_geojson(
             properties["load_mw"] = solution.loads.get(bus_id, 0.0)
             properties["epsilon_mw"] = solution.mismatch.get(bus_id, 0.0)
         properties["color"] = color
-        geometry = {"type": "Point", "coordinates": [point.x, point.y]}
+        geometry = {"type": "Point", "coordinates": list(point)}
         features.append({"type": "Feature", "geometry": geometry, "properties": properties})
     for line_id, frm, to, points, color in lines:
         properties = {"id": line_id, "direction": f"{frm}->{to}"}
         if solution is not None:
             properties["flow_mw"] = solution.flows.get(line_id, 0.0)
         properties["color"] = color
-        geometry = {"type": "LineString", "coordinates": [[p.x, p.y] for p in points]}
+        geometry = {"type": "LineString", "coordinates": [list(p) for p in points]}
         features.append({"type": "Feature", "geometry": geometry, "properties": properties})
     return {"type": "FeatureCollection", "features": features}
 
@@ -144,18 +144,19 @@ def render_svg(
             f'<svg xmlns="http://www.w3.org/2000/svg" '
             f'viewBox="0 0 {SVG_WIDTH:g} {SVG_WIDTH:g}"/>\n'
         )
-    min_x = min(p.x for p in points)
-    max_x = max(p.x for p in points)
-    min_y = min(p.y for p in points)
-    max_y = max(p.y for p in points)
+    min_x = min(x for x, _ in points)
+    max_x = max(x for x, _ in points)
+    min_y = min(y for _, y in points)
+    max_y = max(y for _, y in points)
     span = max(max_x - min_x, max_y - min_y) or 1.0
     margin = 0.05 * span
     scale = SVG_WIDTH / (span + 2 * margin)
 
     def project(p) -> tuple[float, float]:
+        x, y = p
         return (
-            (p.x - min_x + margin) * scale,
-            (max_y - p.y + margin) * scale,  # flip: SVG y grows downward
+            (x - min_x + margin) * scale,
+            (max_y - y + margin) * scale,  # flip: SVG y grows downward
         )
 
     height = (max_y - min_y + 2 * margin) * scale

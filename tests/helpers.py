@@ -11,7 +11,7 @@ from types import MappingProxyType
 from gridtopo.cli import _build_parser
 from gridtopo.direction import Direction, Orientation, Provenance
 from gridtopo.dispatch import BusLoad, GenerationSnapshot
-from gridtopo.geometry import PlanarPoint, PlanarPolygon
+from gridtopo.geometry import PlanarPolygon
 from gridtopo.graph import Grid, build_grid
 from gridtopo.ingest import (
     AreaLoad,
@@ -28,11 +28,7 @@ from gridtopo.ingest import (
 FIXTURES = Path(__file__).parent / "fixtures"
 FIXTURE_NAMES = sorted(p.name for p in FIXTURES.iterdir() if p.is_dir())
 
-_DUMMY_RING = (
-    PlanarPoint(0.0, 0.0),
-    PlanarPoint(1.0, 0.0),
-    PlanarPoint(1.0, 1.0),
-)
+_DUMMY_RING = ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0))
 
 
 def write_latin1_substations(path, bad_row: int, newline: str = "\n", bom: bool = False) -> None:
@@ -76,7 +72,7 @@ def toy_dataset(bus_specs, line_specs=(), gen_specs=(), area_specs=()) -> GridDa
             BusRecord(
                 bus_id,
                 bus_id,
-                PlanarPoint(float(n), float(n % 7)),
+                (float(n), float(n % 7)),
                 float(kv),
                 area,
                 bool(urban),
@@ -217,7 +213,7 @@ def random_connected_dataset(rng, max_buses=50):
 
 
 def _square(x0, y0, x1, y1) -> PlanarPolygon:
-    ring = (PlanarPoint(x0, y0), PlanarPoint(x1, y0), PlanarPoint(x1, y1), PlanarPoint(x0, y1))
+    ring = ((x0, y0), (x1, y0), (x1, y1), (x0, y1))
     return PlanarPolygon((ring,))
 
 
@@ -241,7 +237,7 @@ def planar_lattice_records(rng, rows, cols, areas_per_side=4, cities=10) -> dict
         for bus in row
     }
     buses = [
-        BusRecord(bus, bus, PlanarPoint((c + 0.5) * cell, (r + 0.5) * cell), kv[bus])
+        BusRecord(bus, bus, ((c + 0.5) * cell, (r + 0.5) * cell), kv[bus])
         for r, row in enumerate(ids)
         for c, bus in enumerate(row)
     ]
@@ -288,7 +284,7 @@ def planar_lattice_records(rng, rows, cols, areas_per_side=4, cities=10) -> dict
         for n, (r, c) in enumerate(city_cells)
     ]
     population_points = [
-        PopulationPoint(f"C{n}", PlanarPoint((c + 0.25) * cell, (r + 0.25) * cell), 1000)
+        PopulationPoint(f"C{n}", ((c + 0.25) * cell, (r + 0.25) * cell), 1000)
         for n, (r, c) in enumerate(city_cells)
     ]
     return {

@@ -10,12 +10,14 @@ from gridtopo.geometry import (
     BOUNDARY,
     INSIDE,
     OUTSIDE,
-    PlanarPoint,
     PlanarPolygon,
     locate,
 )
 
-P = PlanarPoint
+
+def P(x, y):
+    """A point, as the package holds one: an ``(x, y)`` pair."""
+    return (x, y)
 
 
 def square(x0=0.0, y0=0.0, x1=1.0, y1=1.0):
@@ -28,11 +30,17 @@ def _edges(poly):
         yield from zip(ring, ring[1:])
 
 
-def test_point_requires_finite_coordinates():
-    with pytest.raises(ValueError):
-        P(float("nan"), 0.0)
-    with pytest.raises(ValueError):
-        P(0.0, float("inf"))
+@pytest.mark.parametrize(
+    "bad, message",
+    [(P(float("nan"), 0.5), "(nan, 0.5)"), (P(0.5, -math.inf), "(0.5, -inf)")],
+    ids=["nan", "inf"],
+)
+def test_polygon_requires_finite_vertices(bad, message):
+    # Parsers check each coordinate as they read it; a polygon built
+    # directly checks its own vertices.
+    with pytest.raises(ValueError) as err:
+        PlanarPolygon((square(), square()[:2] + (bad,)))
+    assert str(err.value) == f"non-finite coordinate {message}"
 
 
 def test_polygon_normalizes_closure():
@@ -77,20 +85,21 @@ def test_hole_excludes_interior_by_even_odd():
 # --- winding-number oracle ------------------------------------------------
 
 def _winding_inside(p, ring):
-    total = 0.0
-    for a, b in zip(ring, ring[1:]):
-        ax, ay = a.x - p.x, a.y - p.y
-        bx, by = b.x - p.x, b.y - p.y
+    (px, py), total = p, 0.0
+    for (ax, ay), (bx, by) in zip(ring, ring[1:]):
+        ax, ay = ax - px, ay - py
+        bx, by = bx - px, by - py
         total += math.atan2(ax * by - ay * bx, ax * bx + ay * by)
     return abs(total) > math.pi
 
 
 def _segment_distance(p, a, b):
-    vx, vy = b.x - a.x, b.y - a.y
-    wx, wy = p.x - a.x, p.y - a.y
+    (px, py), (ax, ay), (bx, by) = p, a, b
+    vx, vy = bx - ax, by - ay
+    wx, wy = px - ax, py - ay
     seg_len2 = vx * vx + vy * vy
     t = 0.0 if seg_len2 == 0 else max(0.0, min(1.0, (wx * vx + wy * vy) / seg_len2))
-    dx, dy = p.x - (a.x + t * vx), p.y - (a.y + t * vy)
+    dx, dy = px - (ax + t * vx), py - (ay + t * vy)
     return math.hypot(dx, dy)
 
 
@@ -122,28 +131,30 @@ def test_matches_winding_oracle_on_random_simple_polygons():
 # --- bounding-box prefilter against the unfiltered ray cast -------------------
 
 def _reference_on_segment(p, a, b):
-    cross = (b.x - a.x) * (p.y - a.y) - (b.y - a.y) * (p.x - a.x)
+    (px, py), (ax, ay), (bx, by) = p, a, b
+    cross = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
     if cross != 0.0:
         return False
-    return min(a.x, b.x) <= p.x <= max(a.x, b.x) and min(a.y, b.y) <= p.y <= max(a.y, b.y)
+    return min(ax, bx) <= px <= max(ax, bx) and min(ay, by) <= py <= max(ay, by)
 
 
 def _reference_ray_cast(p, poly):
     """The even-odd walk over every edge, without the bounding-box test."""
-    inside = False
+    (px, py), inside = p, False
     for a, b in _edges(poly):
         if _reference_on_segment(p, a, b):
             return True
-        if (a.y > p.y) != (b.y > p.y):
-            x_cross = a.x + (p.y - a.y) * (b.x - a.x) / (b.y - a.y)
-            if p.x < x_cross:
+        (ax, ay), (bx, by) = a, b
+        if (ay > py) != (by > py):
+            x_cross = ax + (py - ay) * (bx - ax) / (by - ay)
+            if px < x_cross:
                 inside = not inside
     return inside
 
 
 def _strictly_outside_bbox(p, poly):
-    min_x, min_y, max_x, max_y = poly.bbox
-    return p.x < min_x or p.x > max_x or p.y < min_y or p.y > max_y
+    (px, py), (min_x, min_y, max_x, max_y) = p, poly.bbox
+    return px < min_x or px > max_x or py < min_y or py > max_y
 
 
 @st.composite
@@ -183,16 +194,16 @@ def _probe_points(draw, poly):
         return draw(st.sampled_from(vertices))
     if kind == "midpoint":
         a, b = draw(st.sampled_from(list(_edges(poly))))
-        return P((a.x + b.x) / 2, (a.y + b.y) / 2)
+        return P((a[0] + b[0]) / 2, (a[1] + b[1]) / 2)
     v = draw(st.sampled_from(vertices))
     side = draw(st.sampled_from(["left", "right", "below", "above"]))
     if side == "left":
-        return P(math.nextafter(min_x, -math.inf), v.y)
+        return P(math.nextafter(min_x, -math.inf), v[1])
     if side == "right":
-        return P(math.nextafter(max_x, math.inf), v.y)
+        return P(math.nextafter(max_x, math.inf), v[1])
     if side == "below":
-        return P(v.x, math.nextafter(min_y, -math.inf))
-    return P(v.x, math.nextafter(max_y, math.inf))
+        return P(v[0], math.nextafter(min_y, -math.inf))
+    return P(v[0], math.nextafter(max_y, math.inf))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -253,7 +264,7 @@ def _flattened_star_polygons(draw):
         ring = list(ring[:-1])
         for k in range(1, len(ring)):
             if draw(st.booleans()):
-                ring[k] = P(ring[k].x, ring[k - 1].y)
+                ring[k] = P(ring[k][0], ring[k - 1][1])
         rings.append(tuple(ring))
     try:
         return PlanarPolygon(tuple(rings))
@@ -266,16 +277,16 @@ def _locate_probes(draw, poly):
     """Besides ``_probe_points``: points on horizontal edges, and points one
     ulp above or below a vertex's height."""
     kind = draw(st.sampled_from(["probe", "horizontal", "ulp_height"]))
-    horizontal = [(a, b) for a, b in _edges(poly) if a.y == b.y]
+    horizontal = [(a, b) for a, b in _edges(poly) if a[1] == b[1]]
     if kind == "probe" or (kind == "horizontal" and not horizontal):
         return draw(_probe_points(poly))
     if kind == "horizontal":
         a, b = draw(st.sampled_from(horizontal))
-        return P(draw(st.floats(min(a.x, b.x), max(a.x, b.x))), a.y)
+        return P(draw(st.floats(min(a[0], b[0]), max(a[0], b[0]))), a[1])
     v = draw(st.sampled_from([v for ring in poly.rings for v in ring]))
     min_x, _, max_x, _ = poly.bbox
-    x = draw(st.sampled_from([v.x, draw(st.floats(min_x, max_x))]))
-    return P(x, math.nextafter(v.y, draw(st.sampled_from([-math.inf, math.inf]))))
+    x = draw(st.sampled_from([v[0], draw(st.floats(min_x, max_x))]))
+    return P(x, math.nextafter(v[1], draw(st.sampled_from([-math.inf, math.inf]))))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -331,7 +342,7 @@ def test_locate_tests_only_edges_at_the_points_height(monkeypatch):
         calls.clear()
         walked.clear()
         result = locate(p, poly)
-        at_height = [(a, b) for a, b in edges if min(a.y, b.y) <= p.y <= max(a.y, b.y)]
+        at_height = [(a, b) for a, b in edges if min(a[1], b[1]) <= p[1] <= max(a[1], b[1])]
         # one band is walked; it lists every edge at p's height and a
         # fifth of the edges at most
         assert len(walked) == 1
@@ -373,7 +384,7 @@ def _wiggly_square_polygons(draw):
             vertices.append(P(cx + r * (2.0 * u - 1.0), cy + r * (2.0 * v - 1.0)))
         for k in range(1, n):
             if rng.random() < flatten:
-                vertices[k] = P(vertices[k].x, vertices[k - 1].y)
+                vertices[k] = P(vertices[k][0], vertices[k - 1][1])
         return vertices
 
     rings = [ring(1.0)]
@@ -381,18 +392,18 @@ def _wiggly_square_polygons(draw):
         rings.append(ring(0.3))
     # Band boundaries as PlanarPolygon will place them; vertices at the
     # extreme heights stay, so the bbox does not move.
-    ys = [v.y for r in rings for v in r]
+    ys = [v[1] for r in rings for v in r]
     min_y, max_y = min(ys), max(ys)
     k = math.isqrt(len(ys))
     step = (max_y - min_y) / k
     snap = rng.choice([0.0, 0.1, 0.3])
     for r in rings:
         for i, v in enumerate(r):
-            if min_y < v.y < max_y and rng.random() < snap:
-                y = min_y + round((v.y - min_y) / step) * step
+            if min_y < v[1] < max_y and rng.random() < snap:
+                y = min_y + round((v[1] - min_y) / step) * step
                 if rng.random() < 0.3:
                     y = math.nextafter(y, rng.choice([-math.inf, math.inf]))
-                r[i] = P(v.x, min(max(y, min_y), max_y))
+                r[i] = P(v[0], min(max(y, min_y), max_y))
     try:
         return PlanarPolygon(tuple(map(tuple, rings)))
     except ValueError:
@@ -406,22 +417,22 @@ def _band_probes(draw, poly):
     edges = list(_edges(poly))
     min_x, min_y, max_x, max_y = poly.bbox
     kind = draw(st.sampled_from(["vertex", "midpoint", "horizontal", "band"]))
-    horizontal = [(a, b) for a, b in edges if a.y == b.y]
+    horizontal = [(a, b) for a, b in edges if a[1] == b[1]]
     if kind == "vertex":
         p = draw(st.sampled_from(edges))[0]
     elif kind == "midpoint" or (kind == "horizontal" and not horizontal):
         a, b = draw(st.sampled_from(edges))
-        p = P((a.x + b.x) / 2, (a.y + b.y) / 2)
+        p = P((a[0] + b[0]) / 2, (a[1] + b[1]) / 2)
     elif kind == "horizontal":
         a, b = draw(st.sampled_from(horizontal))
-        p = P(draw(st.floats(min(a.x, b.x), max(a.x, b.x))), a.y)
+        p = P(draw(st.floats(min(a[0], b[0]), max(a[0], b[0]))), a[1])
     else:
         k = math.isqrt(len(edges))
         y = min_y + draw(st.integers(0, k)) * (max_y - min_y) / k
-        vertex_x = draw(st.sampled_from(edges))[0].x
+        vertex_x = draw(st.sampled_from(edges))[0][0]
         p = P(draw(st.sampled_from([draw(st.floats(min_x, max_x)), vertex_x])), y)
     shift = draw(st.sampled_from([None, -math.inf, math.inf]))
-    return p if shift is None else P(p.x, math.nextafter(p.y, shift))
+    return p if shift is None else P(p[0], math.nextafter(p[1], shift))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -445,12 +456,12 @@ def test_degenerate_height_falls_back_to_the_whole_walk(y_scale):
     edges = list(_edges(poly))
     assert math.isqrt(len(edges)) > 2
     assert poly.bands == (0.0, ())
-    ys = sorted({v.y for v in poly.rings[0]})
+    ys = sorted({v[1] for v in poly.rings[0]})
     heights = ys + [math.nextafter(y, d) for y in ys for d in (-math.inf, math.inf)]
     heights = [y for y in heights if math.isfinite(y)]
-    xs = sorted({v.x for v in poly.rings[0]}) + [0.5 * (min_x + max_x), 0.25]
+    xs = sorted({v[0] for v in poly.rings[0]}) + [0.5 * (min_x + max_x), 0.25]
     probes = [P(x, y) for x in xs for y in heights]
-    probes += [P(a.x / 2 + b.x / 2, a.y / 2 + b.y / 2) for a, b in edges]
+    probes += [P(a[0] / 2 + b[0] / 2, a[1] / 2 + b[1] / 2) for a, b in edges]
     for p in probes:
         expected = OUTSIDE if _strictly_outside_bbox(p, poly) else _reference_locate(p, poly)
         assert locate(p, poly) == expected

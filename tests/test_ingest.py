@@ -3,6 +3,7 @@ import hashlib
 import math
 import random
 import tempfile
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gridtopo.direction import read_orientation_csv
-from gridtopo.geometry import INSIDE, PlanarPoint, PlanarPolygon, locate
+from gridtopo.geometry import INSIDE, PlanarPolygon, locate
 from gridtopo.ingest import (
     AreaLoad,
     BusRecord,
@@ -22,12 +23,18 @@ from gridtopo.ingest import (
     InvalidValue,
     LineRecord,
     MissingColumn,
+    NonNumericValue,
     NonNumericVoltage,
     OverlappingAreas,
     PlanningArea,
     PopulationPoint,
     UnexpectedColumn,
+    _BORDER_COLUMNS,
     _area_of,
+    _int,
+    _point,
+    _read_rows,
+    _require_id,
     assign_regions,
     build_dataset,
     format_wkt_linestring,
@@ -55,7 +62,10 @@ from gridtopo.ingest import (
 
 from helpers import FIXTURES, FIXTURE_NAMES, write_latin1_substations
 
-P = PlanarPoint
+
+def P(x, y):
+    """A point, as the package holds one: an ``(x, y)`` pair."""
+    return (x, y)
 
 
 def write(tmp_path, name, text):
@@ -285,6 +295,38 @@ def test_wkt_round_trip():
         parse_wkt_linestring("LINESTRING (1 1)")
 
 
+@pytest.mark.parametrize(
+    "wkt, message",
+    [
+        ("LINESTRING (0 0, nan 1)", "non-finite coordinate (nan, 1.0)"),
+        ("LINESTRING (0 0, 1 inf)", "non-finite coordinate (1.0, inf)"),
+        ("LINESTRING (1e999 0, 1 1)", "non-finite coordinate (inf, 0.0)"),
+    ],
+    ids=["nan", "inf", "overflow"],
+)
+def test_wkt_non_finite_coordinate_names_file_and_row(tmp_path, wkt, message):
+    # A point is a float pair: the WKT parser checks finiteness itself.
+    path = write(
+        tmp_path, "Line.csv",
+        f'id,bus_a,bus_b,voltage_kv,wkt_geometry\nL1,S1,S2,240,\nL2,S2,S3,240,"{wkt}"\n',
+    )
+    with pytest.raises(InvalidValue) as err:
+        parse_lines(path)
+    assert (err.value.path, err.value.row) == (path, 3)
+    assert str(err.value) == f"{path}: row 3: {message}"
+
+
+def test_parse_lines_shares_one_id_object_per_bus(tmp_path):
+    path = write(
+        tmp_path, "Line.csv",
+        "id,bus_a,bus_b,voltage_kv\nL1,S10,S20,240\nL2,S20,S30,240\nL3, S30 ,S10,138\n",
+    )
+    l1, l2, l3 = parse_lines(path)
+    assert l1.endpoint_b is l2.endpoint_a
+    assert l2.endpoint_b is l3.endpoint_a
+    assert l3.endpoint_b is l1.endpoint_a
+
+
 def test_parse_border_builds_polygon(tmp_path):
     path = write(
         tmp_path,
@@ -309,6 +351,124 @@ def test_parse_border_rejects_tiny_ring(tmp_path):
     )
     with pytest.raises(InvalidValue):
         parse_planning_area_polygons(path)
+
+
+def test_parse_border_rejects_non_finite_coordinate(tmp_path):
+    path = write(
+        tmp_path,
+        "CityBorder.csv",
+        "city_id,name,ring_index,vertex_index,x,y\nC1,Cal,0,0,0,0\nC1,Cal,0,1,inf,0\n",
+    )
+    with pytest.raises(NonNumericValue) as err:
+        parse_city_polygons(path)
+    assert str(err.value) == f"{path}: row 3: non-finite x: 'inf'"
+
+
+def _checked_border_rows(path, id_column, make):
+    """The border parse with every field of every row through the checked
+    converters, one at a time: the reference for ingest's one-step
+    conversion of well-formed rows."""
+    vertices = defaultdict(lambda: defaultdict(dict))
+    names = {}
+
+    def add_vertex(row):
+        shape_id = _require_id(row[0], id_column)
+        ring_i = _int(row[2], "ring_index")
+        vertex_i = _int(row[3], "vertex_index")
+        if ring_i < 0 or vertex_i < 0:
+            raise InvalidValue("negative ring/vertex index")
+        point = _point(row[4], row[5])
+        if names.setdefault(shape_id, row[1]) != row[1]:
+            raise InvalidValue(f"{id_column} {shape_id} listed under two names")
+        ring = vertices[shape_id][ring_i]
+        if vertex_i in ring:
+            raise DuplicateId(f"duplicate vertex {vertex_i} in ring {ring_i} of {shape_id}")
+        ring[vertex_i] = point
+
+    _read_rows(path, (id_column, *_BORDER_COLUMNS), add_vertex)
+    shapes = []
+    for shape_id, shape in vertices.items():
+        rings = [tuple(ring[i] for i in sorted(ring)) for _, ring in sorted(shape.items())]
+        try:
+            polygon = PlanarPolygon(tuple(rings))
+        except ValueError as exc:
+            raise InvalidValue(f"{id_column} {shape_id}: {exc}", path=path) from None
+        shapes.append(make(shape_id, names[shape_id], polygon))
+    return shapes
+
+
+_BORDER_PARSERS = {
+    "area_id": (parse_planning_area_polygons, PlanningArea),
+    "city_id": (parse_city_polygons, CityPolygon),
+}
+# Fields that int() or float() read otherwise than a plain number, or refuse.
+_ODD_FIELDS = [" 3", "+3", "1_0", "-0", "0x10", "", "nan", "inf", "-inf", "1e999", "-1", "x"]
+
+
+def _parse_outcome(parse, path):
+    """``repr`` of what ``parse`` returns (``repr`` tells -0.0 from 0.0),
+    or the class, message and row of what it raises."""
+    try:
+        return repr(parse(path))
+    except IngestError as exc:
+        return type(exc), str(exc), exc.row
+
+
+def _assert_border_parse_matches_checked_chain(tmp_path, id_column, rows):
+    parse, make = _BORDER_PARSERS[id_column]
+    path = write(
+        tmp_path, "Border.csv",
+        "\n".join(",".join(row) for row in [[id_column, *_BORDER_COLUMNS], *rows]) + "\n",
+    )
+    expected = _parse_outcome(lambda p: _checked_border_rows(p, id_column, make), path)
+    assert _parse_outcome(parse, path) == expected, rows
+
+
+def _square_rows():
+    corners = [("0.0", "0.0"), ("4.0", "0.0"), ("4.0", "4.0"), ("0.0", "4.0")]
+    return [["A1", "North", "0", str(k), x, y] for k, (x, y) in enumerate(corners)]
+
+
+@pytest.mark.parametrize("id_column", sorted(_BORDER_PARSERS))
+def test_border_rows_parse_as_the_checked_chain_on_each_odd_field(tmp_path, id_column):
+    for column in (0, 2, 3, 4, 5):
+        for field in _ODD_FIELDS:
+            rows = _square_rows()
+            rows[1][column] = field
+            _assert_border_parse_matches_checked_chain(tmp_path, id_column, rows)
+    # a repeated vertex, a name that changes, and finite x and y whose sum overflows
+    for edits in ([(3, "0")], [(1, "South")], [(4, "1e308"), (5, "1.7e308")]):
+        rows = _square_rows()
+        for column, field in edits:
+            rows[2][column] = field
+        _assert_border_parse_matches_checked_chain(tmp_path, id_column, rows)
+
+
+@st.composite
+def _border_files(draw):
+    """Rows of one or two rings whose fields are now and then replaced by
+    an odd field or by the same column of another row, which repeats a
+    vertex, moves it to another ring or shape, or changes a name."""
+    rows = []
+    for shape in range(draw(st.integers(1, 2))):
+        n = draw(st.integers(3, 6))
+        for k in range(n):
+            angle = 2 * math.pi * k / n
+            x, y = repr(shape + math.cos(angle)), repr(math.sin(angle))
+            rows.append([f"S{shape}", f"N{shape}", "0", str(k), x, y])
+    for _ in range(draw(st.integers(0, 3))):
+        row, column = draw(st.sampled_from(rows)), draw(st.integers(0, 5))
+        row[column] = draw(st.sampled_from(_ODD_FIELDS + [r[column] for r in rows]))
+    return draw(st.permutations(rows))
+
+
+@pytest.mark.parametrize("id_column", sorted(_BORDER_PARSERS))
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_border_rows_parse_as_the_checked_chain(id_column, data):
+    rows = data.draw(_border_files())
+    with tempfile.TemporaryDirectory() as tmp:
+        _assert_border_parse_matches_checked_chain(Path(tmp), id_column, rows)
 
 
 def test_parse_population_rejects_negative(tmp_path):
@@ -522,7 +682,7 @@ def test_bbox_reject_matches_a_plain_locate_over_every_polygon(areas, cities, ex
             got = str(exc)
         assert got == area, point
         try:
-            (bus,) = assign_regions([_bus(f"S{n}", point.x, point.y)], areas, cities)
+            (bus,) = assign_regions([_bus(f"S{n}", *point)], areas, cities)
             got = (bus.planning_area_id, bus.is_urban)
         except OverlappingAreas as exc:
             got = str(exc)
@@ -685,13 +845,13 @@ def test_load_dataset_is_deterministic(fixture):
 # line geometry, names and area population totals included, which the
 # CLI's golden outputs do not all hold.
 RECORD_DIGESTS = {
-    "chain3": "7442383361ab7ff9cf56ab03d1b633738265c4ea98c649d0b36ada5ce338c4c8",
-    "diamond": "f0fb7407e33a36ab849a7ac09f8ef1bbb974947bc03d7b4ff63db0fe77e15074",
-    "grid30": "d274f37161a0bf992f720de5d85b61d09b59b60fabf93ab87244b58494a8cade",
-    "ladder": "d4e2a6616d0042698242ad52478314e2d54c27b835884cfdeba0fd5f934d558a",
-    "mixed": "4aa811c35c28675f55f1cd52a19db0e2b0612817439258b816bf09692b5fab7a",
-    "pair": "6e39255da787f0ed454ae28a1c38fd4d23f0d50e27d3b338255f3b418b2102e2",
-    "triangle": "cd5941659272af2fac3b440bfd5721fa7831894a329256922519b20206815a83",
+    "chain3": "5e522748bb13f914cff23625239b371fb669eaef731d08982cf262d9d0a0fcfb",
+    "diamond": "5309f2e28b49cf3228e61cd482cc44d85cc6c440ceae2d9edc532962b4db166f",
+    "grid30": "a739e6d41ec2339ad7a0c3c9337d8f6297a61907202cad2e047620af12a26dd9",
+    "ladder": "15859917865eac1138d9ce63e2d888a098f9704992f8ca337a58498f5801ccfd",
+    "mixed": "e3b748effd07d3d27ecd45265c6316590880ed173661ad35dfd200495cc26726",
+    "pair": "3ead8999199d96c14e3e1abcf29b8250293fa5d2e3edd90335838d646f11ae7f",
+    "triangle": "972de15ee20821f5d81fbdadbc7fb4c31e2f27639153e024e4d2ce3b8a053b66",
 }
 
 
