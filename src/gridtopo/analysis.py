@@ -30,9 +30,8 @@ def direction_diff(
     Symmetric up to swapping old/new roles: ``diff(a, b)`` changes the
     same lines as ``diff(b, a)``.
     """
-    if set(a) != set(b):
-        only_a = sorted(set(a) - set(b))
-        only_b = sorted(set(b) - set(a))
+    if a.keys() != b.keys():
+        only_a, only_b = sorted(a.keys() - b.keys()), sorted(b.keys() - a.keys())
         raise ValueError(
             f"orientations cover different line sets (only left: {only_a[:5]}, "
             f"only right: {only_b[:5]})"

@@ -122,7 +122,7 @@ def apply_heuristics(
     contradicts the two-end voltage rule wins but is flagged as a
     conflict.
     """
-    outputs = snapshot.bus_totals(grid)
+    outputs = snapshot.outputs
     directions: dict[str, Direction] = {}
     provenance: dict[str, Provenance] = {}
     conflicts: list[str] = []
@@ -133,8 +133,8 @@ def apply_heuristics(
         class_a = grid.bus_class(line.endpoint_a)
         class_b = grid.bus_class(line.endpoint_b)
         class_line = grid.line_class(line_id)
-        active_a = outputs[line.endpoint_a] > 0.0
-        active_b = outputs[line.endpoint_b] > 0.0
+        active_a = outputs.get(line.endpoint_a, 0.0) > 0.0
+        active_b = outputs.get(line.endpoint_b, 0.0) > 0.0
 
         voltage_rule = None
         if class_a > class_b:
@@ -285,10 +285,11 @@ def bfs_orient(
 def orient_all(
     grid: Grid, snapshot: "GenerationSnapshot", seed: int = DEFAULT_SEED
 ) -> Orientation:
-    """Run both stages and return a total orientation."""
+    """Run both stages. Each map is assembled once, in line-id order; a
+    line that no stage directed fails the assembly with a ``KeyError``."""
     partial = apply_heuristics(grid, snapshot, seed)
-    directions = dict(partial.directions)
-    provenance = dict(partial.provenance)
+    residual_dir: dict[str, Direction] = {}
+    residual_prov: dict[str, Provenance] = {}
     warnings: list[str] = []
 
     for subgraph in residual_subgraphs(grid, partial):
@@ -299,15 +300,15 @@ def orient_all(
                 "falling back to its lowest-id bus"
             )
         sub_dir, sub_prov = bfs_orient(grid, subgraph, entries, seed, partial.free_flow)
-        directions.update(sub_dir)
-        provenance.update(sub_prov)
+        residual_dir.update(sub_dir)
+        residual_prov.update(sub_prov)
 
-    missing = [l for l in grid.lines if l not in directions]
-    if missing:
-        raise RuntimeError(f"orientation left lines undirected: {missing}")
+    def assemble(stage1, stage2):
+        return MappingProxyType({l: stage1[l] if l in stage1 else stage2[l] for l in grid.lines})
+
     return Orientation(
-        directions=MappingProxyType({l: directions[l] for l in grid.lines}),
-        provenance=MappingProxyType({l: provenance[l] for l in grid.lines}),
+        directions=assemble(partial.directions, residual_dir),
+        provenance=assemble(partial.provenance, residual_prov),
         conflicts=partial.conflicts,
         warnings=tuple(warnings),
     )

@@ -3,10 +3,10 @@
 A generation scenario is output per bus: each generator's output,
 either its maximum capacity (the baseline) or the value a Snapshot.csv
 time point reports, is summed into its bus once, when the snapshot is
-made. Each generation bus's output is attributed over the buses it can
-reach under the line orientation, proportionally to the demand index;
-the LP then finds line flows and injections that balance those bus
-loads.
+made; stages read it as ``outputs.get(bus, 0.0)``. Each generation
+bus's output is attributed over the buses it can reach under the line
+orientation, proportionally to the demand index; the LP then finds
+line flows and injections that balance those bus loads.
 
 LP formulation, per bus i (sets follow the orientation):
 
@@ -25,8 +25,8 @@ load_i. The objective is total load minus the max flow. The
 attribution's routing fills every source arc, so by the source cut it
 is a maximum flow and is returned as is (``FlowSolution.iterations`` is
 0 on CLI runs); without a routing, Dinic's algorithm finds the max flow
-exactly. Only bus-level quantities and the objective are contractual;
-per-line flows are one optimum among possibly many.
+exactly. Per-line flows are one optimum among possibly many;
+``FlowSolution`` says which bus-level values are unique.
 """
 
 from __future__ import annotations
@@ -51,8 +51,8 @@ MODE_TIME_POINT = "timepoint"
 class GenerationSnapshot:
     """Generation per bus defining one scenario.
 
-    ``outputs`` maps a bus id to the summed output (MW) of the
-    generators at that bus; a bus without generators is absent.
+    ``outputs`` maps a bus id to its generators' summed MW, read as
+    ``outputs.get(bus, 0.0)``; ``bus_totals`` is the solve's dense view.
     """
 
     outputs: Mapping[str, float]
@@ -155,8 +155,8 @@ def estimate_bus_load(
     loads = {bus: 0.0 for bus in grid.adjacency}
     routing: dict[str, float] = {}
     warnings = []
-    totals = snapshot.bus_totals(grid)
-    for bus, output in totals.items():
+    for bus in grid.adjacency:
+        output = snapshot.outputs.get(bus, 0.0)
         if output <= 0.0:
             continue
         parents = reachable_buses(orientation, grid, bus)
@@ -191,10 +191,11 @@ class FlowSolution:
     """Optimal flows, injections, and unserved demand for one scenario.
 
     ``loads`` echoes the LP's input bus loads so a solution is
-    self-contained for export and rendering. ``iterations`` is the
-    solver's work: the number of augmenting paths the max-flow took. It
-    is 0 for an attributed ``BusLoad``, as on CLI runs: its routing fills
-    the source cut, so it is returned without a max-flow.
+    self-contained for export and rendering. ``iterations`` counts the
+    max-flow's augmenting paths: 0 for an attributed ``BusLoad``, as on
+    CLI runs, whose routing fills the source cut and is returned as is.
+    Its bus-level values are unique (every source and sink arc is
+    saturated); without a routing only ``objective`` and the totals are.
     """
 
     flows: Mapping[str, float]
@@ -284,30 +285,35 @@ def solve_flow_lp(
 
     Always feasible; ``mismatch`` absorbs any deficit. ``max_residual``
     is the largest nodal-balance violation recomputed from the returned
-    numbers, and stays within 1e-6 of zero. Loads and outputs must be
-    finite and nonnegative.
+    numbers, and stays within 1e-6 of zero. Loads, outputs and routed
+    flows must be finite, nonnegative and keyed by ``grid``'s bus (for
+    flows, line) ids; the first offender in id order is named.
 
     A routing fills every source arc, so by the source cut it is a
     maximum flow: it is returned as is, with the outputs as injections
     and no unserved demand, and its float dust or any break in
-    conservation shows only in ``max_residual``. A negative or
-    non-finite routed flow is refused. Without a routing, Dinic solves
-    from zero flow.
+    conservation shows only in ``max_residual``. Without a routing,
+    Dinic solves from zero flow, and two generators that can serve one
+    load split it as its arc order falls: only the totals are unique.
     """
+    for what, kind, values, known in (
+        ("bus loads", "bus", bus_load.values, grid.adjacency),
+        ("generation outputs", "bus", snapshot.outputs, grid.adjacency),
+        ("routed flows", "line", bus_load.routing or {}, grid.lines),
+    ):
+        unknown = min((key for key in values if key not in known), default=None)
+        if unknown is not None:
+            raise ValueError(f"{what} name {kind} {unknown}, which is not in the grid")
+        bad = min((k for k, value in values.items() if not 0.0 <= value < math.inf), default=None)
+        if bad is not None:
+            raise ValueError(
+                f"{what} must be finite and nonnegative: {kind} {bad} has {values[bad]!r}"
+            )
     caps = snapshot.bus_totals(grid)
     loads = {bus: bus_load.values.get(bus, 0.0) for bus in grid.adjacency}
-    for what, values in (("bus loads", loads), ("generation outputs", caps)):
-        for bus, value in values.items():
-            if not 0.0 <= value < math.inf:
-                raise ValueError(f"{what} must be finite and nonnegative: bus {bus} has {value!r}")
 
     if bus_load.routing is not None:
         flows = {line_id: bus_load.routing.get(line_id, 0.0) for line_id in grid.lines}
-        for line_id, routed in flows.items():
-            if not 0.0 <= routed < math.inf:
-                raise ValueError(
-                    f"line {line_id}: routed flow {routed!r} must be finite and nonnegative"
-                )
         injections, mismatch, augmentations = caps, dict.fromkeys(grid.adjacency, 0.0), 0
     else:
         # Nodes: buses 0..n-1, source n, sink n+1. Arcs: source -> bus (cap),

@@ -765,15 +765,10 @@ def validate_dataset(dataset: GridDataset) -> ValidationReport:
     duplicated geometry. None of these abort the pipeline; lines rated
     above both endpoints are later handled by the voltage-class rules.
     """
-    unassigned = tuple(
-        b.id for b in dataset.buses if b.planning_area_id is None
-    )
+    unassigned = tuple(b.id for b in dataset.buses if b.planning_area_id is None)
 
-    degree: dict[str, int] = {b.id: 0 for b in dataset.buses}
-    for line in dataset.lines:
-        degree[line.endpoint_a] += 1
-        degree[line.endpoint_b] += 1
-    isolated = tuple(sorted(b for b, d in degree.items() if d == 0))
+    ends = {bus for line in dataset.lines for bus in (line.endpoint_a, line.endpoint_b)}
+    isolated = tuple(b.id for b in dataset.buses if b.id not in ends)
 
     kv = {b.id: b.voltage_kv for b in dataset.buses}
     anomalies = tuple(
@@ -782,23 +777,8 @@ def validate_dataset(dataset: GridDataset) -> ValidationReport:
         if line.voltage_kv > kv[line.endpoint_a] and line.voltage_kv > kv[line.endpoint_b]
     )
 
-    duplicates = []
-    seen_locations: dict[tuple[float, float], str] = {}
-    for bus in dataset.buses:
-        key = bus.location
-        if key in seen_locations:
-            duplicates.append(f"buses {seen_locations[key]},{bus.id}")
-        else:
-            seen_locations[key] = bus.id
-    seen_geometry: dict[tuple, str] = {}
-    for line in dataset.lines:
-        if line.geometry is None:
-            continue  # bare parallel circuits are legitimate, not duplicates
-        key = line.geometry
-        if key in seen_geometry:
-            duplicates.append(f"lines {seen_geometry[key]},{line.id}")
-        else:
-            seen_geometry[key] = line.id
+    duplicates = _repeats("buses", ((b.location, b.id) for b in dataset.buses))
+    duplicates += _repeats("lines", ((l.geometry, l.id) for l in dataset.lines))
 
     return ValidationReport(
         unassigned_buses=unassigned,
@@ -806,6 +786,19 @@ def validate_dataset(dataset: GridDataset) -> ValidationReport:
         voltage_anomalies=anomalies,
         duplicate_geometry=tuple(duplicates),
     )
+
+
+def _repeats(kind: str, keyed_ids) -> list[str]:
+    """``"<kind> <first id>,<id>"`` for each id whose key an earlier id holds.
+    A None key never repeats: bare parallel circuits have no geometry."""
+    first: dict = {}
+    repeats = []
+    for key, item_id in keyed_ids:
+        if key in first:
+            repeats.append(f"{kind} {first[key]},{item_id}")
+        elif key is not None:
+            first[key] = item_id
+    return repeats
 
 
 # ---------------------------------------------------------------------------

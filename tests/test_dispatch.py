@@ -436,6 +436,31 @@ def test_lp_refuses_a_negative_or_non_finite_routing():
             solve_flow_lp(orientation, grid, bad, snap)
 
 
+def _two_bus_case():
+    return lp_case(["a", "b"], [("l1", "a", "b")], {"a": 1.0}, {"b": 1.0})
+
+
+def test_lp_refuses_loads_on_a_bus_outside_the_grid():
+    grid, orientation, snap, load = _two_bus_case()
+    stray = dataclasses.replace(load, values={**load.values, "z": 2.0, "y": 1.0})
+    with pytest.raises(ValueError, match="^bus loads name bus y, which is not in the grid$"):
+        solve_flow_lp(orientation, grid, stray, snap)
+
+
+def test_lp_refuses_outputs_on_a_bus_outside_the_grid():
+    grid, orientation, snap, load = _two_bus_case()
+    stray = GenerationSnapshot(outputs={**snap.outputs, "z": 2.0, "y": 1.0})
+    with pytest.raises(ValueError, match="^generation outputs name bus y, which is not in the grid$"):
+        solve_flow_lp(orientation, grid, load, stray)
+
+
+def test_lp_refuses_routed_flow_on_a_line_outside_the_grid():
+    grid, orientation, snap, load = _two_bus_case()
+    stray = dataclasses.replace(load, routing={"l1": 1.0, "l9": 0.5, "l8": 0.0})
+    with pytest.raises(ValueError, match="^routed flows name line l8, which is not in the grid$"):
+        solve_flow_lp(orientation, grid, stray, snap)
+
+
 def test_lp_conservation_and_lower_bound():
     rng = random.Random(171717)
     for _ in range(50):

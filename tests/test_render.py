@@ -2,6 +2,7 @@ import json
 import math
 import re
 import xml.etree.ElementTree as ET
+from types import MappingProxyType
 
 import pytest
 
@@ -280,3 +281,15 @@ def test_diff_symmetric_count():
 def test_diff_rejects_mismatched_line_sets():
     with pytest.raises(ValueError):
         direction_diff({"l1": ("a", "b")}, {"l2": ("a", "b")})
+
+
+def test_diff_names_the_unmatched_lines_of_read_only_maps():
+    a = MappingProxyType({"l3": ("a", "b"), "l1": ("a", "b"), "l2": ("b", "c")})
+    b = MappingProxyType({"l2": ("b", "c"), "l4": ("c", "d")})
+    message = (
+        "orientations cover different line sets (only left: ['l1', 'l3'], "
+        "only right: ['l4'])"
+    )
+    with pytest.raises(ValueError) as err:
+        direction_diff(a, b)
+    assert str(err.value) == message
