@@ -110,7 +110,8 @@ class DemandIndex:
     """Nonnegative relative demand weight per bus.
 
     Within every planning area that has at least one bus, the weights
-    sum to the area's average hourly load.
+    sum to the area's average hourly load. ``allocate_demand_index``
+    builds ``values`` in bus id order, the order it is written in.
     """
 
     values: Mapping[str, float]
@@ -175,7 +176,7 @@ def write_demand_index_csv(index: DemandIndex, path) -> None:
     write_csv(
         path,
         ("bus_id", "rdi"),
-        ((bus_id, repr(index.values[bus_id])) for bus_id in sorted(index.values)),
+        ((bus_id, repr(value)) for bus_id, value in index.values.items()),
     )
 
 

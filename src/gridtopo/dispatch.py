@@ -24,15 +24,14 @@ uncapacitated arc per oriented line, bus i -> sink with capacity
 load_i. The objective is total load minus the max flow. The
 attribution's routing fills every source arc, so by the source cut it
 is a maximum flow and is returned as is (``FlowSolution.iterations`` is
-0 on CLI runs); without a routing, Dinic's algorithm finds the max flow
-exactly. Per-line flows are one optimum among possibly many;
-``FlowSolution`` says which bus-level values are unique.
+0 on CLI runs); without a routing, shortest augmenting paths over the
+grid find the max flow exactly. Per-line flows are one optimum among
+possibly many; ``FlowSolution`` says which bus-level values are unique.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
@@ -195,7 +194,8 @@ class FlowSolution:
     max-flow's augmenting paths: 0 for an attributed ``BusLoad``, as on
     CLI runs, whose routing fills the source cut and is returned as is.
     Its bus-level values are unique (every source and sink arc is
-    saturated); without a routing only ``objective`` and the totals are.
+    saturated); without a routing only ``objective`` and the totals are,
+    and the per-bus split follows the order of the max-flow's walk.
     """
 
     flows: Mapping[str, float]
@@ -213,66 +213,57 @@ class FlowSolution:
         return math.fsum(self.loads.values())
 
 
-def _max_flow(node_count, arcs, source, sink) -> tuple[list[float], int]:
-    """Dinic's max-flow from zero over ``arcs``, ``(tail, head, capacity)`` triples.
+def _max_flow(grid, tails, caps, loads) -> tuple[dict, dict, dict, int]:
+    """Max-flow from zero flow by shortest augmenting paths over the grid.
 
-    Returns the residual capacities and the number of augmenting paths.
-    Arc k's residual is ``residual[2 * k]``; its reverse arc's residual,
-    ``residual[2 * k + 1]``, is the flow it carries. Each augmentation
-    leaves its bottleneck arc at exactly 0.0, so float capacities need
-    no tolerance to terminate.
+    Returns each line's flow, each bus's spare output and unmet load,
+    and the number of paths pushed. A phase walks breadth-first from
+    every bus with spare output, crossing a line along its orientation
+    (lines are uncapacitated) or back against positive flow, then pushes
+    along the walk's tree path to each reached bus with unmet load, in
+    the order reached; a path whose bottleneck (spare output, unmet load
+    or backward flow) has dropped to 0.0 meanwhile is skipped. Phases
+    end when the walk reaches no unmet load, which is the cut condition.
+
+    Why this stays exact: a push adds residual room only back up the
+    walk's tree, and the walk never leaves a bus through its load, so no
+    push shortens a walk distance. A tree path that still has room is
+    therefore a shortest augmenting path, and the bound of Edmonds and
+    Karp (J. ACM 19(2), 1972) on their number holds. Each push leaves
+    its bottleneck at exactly 0.0 (``x - x == 0.0``), so float
+    capacities need no tolerance to terminate.
     """
-    head: list[int] = []
-    residual: list[float] = []
-    out: list[list[int]] = [[] for _ in range(node_count)]
-    for tail, to, capacity in arcs:
-        out[tail].append(len(head))
-        out[to].append(len(head) + 1)
-        head += (to, tail)
-        residual += (capacity, 0.0)
-
-    augmentations = 0
+    flows = dict.fromkeys(grid.lines, 0.0)
+    spare, unmet = dict(caps), dict(loads)
+    pushes = 0
     while True:
-        level = [-1] * node_count
-        level[source] = 0
-        queue = deque([source])
-        while queue:
-            node = queue.popleft()
-            for arc in out[node]:
-                if residual[arc] > 0.0 and level[head[arc]] < 0:
-                    level[head[arc]] = level[node] + 1
-                    queue.append(head[arc])
-        if level[sink] < 0:
-            return residual, augmentations
-
-        # Blocking flow: iterative DFS along level-increasing arcs.
-        cursor = [0] * node_count
-        path: list[int] = []
-        node = source
-        while True:
-            if node == sink:
-                push = min(residual[arc] for arc in path)
-                for arc in path:
-                    residual[arc] -= push
-                    residual[arc ^ 1] += push
-                augmentations += 1
-                saturated = next(k for k, arc in enumerate(path) if residual[arc] == 0.0)
-                del path[saturated:]
-                node = head[path[-1]] if path else source
-                continue
-            candidates = out[node]
-            while cursor[node] < len(candidates):
-                arc = candidates[cursor[node]]
-                if residual[arc] > 0.0 and level[head[arc]] == level[node] + 1:
-                    path.append(arc)
-                    node = head[arc]
-                    break
-                cursor[node] += 1
-            else:
-                if node == source:
-                    break
-                node = head[path.pop() ^ 1]
-                cursor[node] += 1
+        # parents[bus] = (line_id, previous bus) on the walk's tree
+        parents = {bus: None for bus, room in spare.items() if room > 0.0}
+        order = list(parents)
+        for bus in order:
+            for line_id, neighbor in grid.adjacency[bus]:
+                if neighbor not in parents and (tails[line_id] == bus or flows[line_id] > 0.0):
+                    parents[neighbor] = (line_id, bus)
+                    order.append(neighbor)
+        sinks = [bus for bus in order if unmet[bus] > 0.0]
+        if not sinks:
+            return flows, spare, unmet, pushes
+        for sink in sinks:
+            steps, root = [], sink
+            while (step := parents[root]) is not None:
+                steps.append(step)
+                root = step[1]
+            room = min(
+                spare[root],
+                unmet[sink],
+                *(flows[line_id] for line_id, prev in steps if tails[line_id] != prev),
+            )
+            if room > 0.0:
+                spare[root] -= room
+                unmet[sink] -= room
+                for line_id, prev in steps:
+                    flows[line_id] += room if tails[line_id] == prev else -room
+                pushes += 1
 
 
 def solve_flow_lp(
@@ -293,8 +284,9 @@ def solve_flow_lp(
     maximum flow: it is returned as is, with the outputs as injections
     and no unserved demand, and its float dust or any break in
     conservation shows only in ``max_residual``. Without a routing,
-    Dinic solves from zero flow, and two generators that can serve one
-    load split it as its arc order falls: only the totals are unique.
+    shortest augmenting paths over the grid solve from zero flow, and
+    two generators that can serve one load split it in the order their
+    walk reaches it: only the totals are unique.
     """
     for what, kind, values, known in (
         ("bus loads", "bus", bus_load.values, grid.adjacency),
@@ -312,26 +304,14 @@ def solve_flow_lp(
     caps = snapshot.bus_totals(grid)
     loads = {bus: bus_load.values.get(bus, 0.0) for bus in grid.adjacency}
 
+    tails = {line_id: orientation.from_to(line)[0] for line_id, line in grid.lines.items()}
     if bus_load.routing is not None:
         flows = {line_id: bus_load.routing.get(line_id, 0.0) for line_id in grid.lines}
-        injections, mismatch, augmentations = caps, dict.fromkeys(grid.adjacency, 0.0), 0
+        injections, mismatch, pushes = caps, dict.fromkeys(grid.adjacency, 0.0), 0
     else:
-        # Nodes: buses 0..n-1, source n, sink n+1. Arcs: source -> bus (cap),
-        # bus -> sink (load), then one uncapacitated arc per oriented line.
-        bus_pos = {bus: i for i, bus in enumerate(grid.adjacency)}
-        n = len(bus_pos)
-        source, sink = n, n + 1
-        arcs = [(source, i, caps[bus]) for bus, i in bus_pos.items()]
-        arcs += [(i, sink, loads[bus]) for bus, i in bus_pos.items()]
-        for line in grid.lines.values():
-            frm, to = orientation.from_to(line)
-            arcs.append((bus_pos[frm], bus_pos[to], math.inf))
-        residual_caps, augmentations = _max_flow(n + 2, arcs, source, sink)
-        injections = {bus: caps[bus] - residual_caps[2 * i] for bus, i in bus_pos.items()}
-        mismatch = {bus: residual_caps[2 * (n + i)] for bus, i in bus_pos.items()}
-        flows = {l: residual_caps[2 * (2 * n + k) + 1] for k, l in enumerate(grid.lines)}
+        flows, spare, mismatch, pushes = _max_flow(grid, tails, caps, loads)
+        injections = {bus: caps[bus] - spare[bus] for bus in grid.adjacency}
 
-    tails = {line_id: orientation.from_to(line)[0] for line_id, line in grid.lines.items()}
     residual = 0.0
     for bus, incident in grid.adjacency.items():
         balance = injections[bus] - loads[bus] + mismatch[bus]
@@ -346,7 +326,7 @@ def solve_flow_lp(
         loads=MappingProxyType(loads),
         objective=math.fsum(mismatch.values()),
         max_residual=residual,
-        iterations=augmentations,
+        iterations=pushes,
     )
 
 

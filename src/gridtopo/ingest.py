@@ -37,6 +37,7 @@ import math
 import re
 from collections import defaultdict
 from dataclasses import dataclass, replace
+from itertools import pairwise
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -673,7 +674,8 @@ def link_area_loads(
 ) -> dict[str, float]:
     """``{area_id: avg_hourly_load_mw}`` of ``area_loads``, read from
     ``path`` if given. An area id that names no planning area raises
-    DanglingReference (naming ``path``)."""
+    DanglingReference, and one listed twice DuplicateId (naming
+    ``path``)."""
     area_ids = {a.id for a in planning_areas}
     loads = {}
     for load in area_loads:
@@ -681,8 +683,19 @@ def link_area_loads(
             raise DanglingReference(
                 f"hourly load references unknown planning area {load.area_id}", path=path
             )
+        if load.area_id in loads:
+            raise DuplicateId(f"duplicate area load id {load.area_id}", path=path)
         loads[load.area_id] = load.avg_hourly_load_mw
     return loads
+
+
+def _by_id(kind: str, records: Iterable) -> tuple:
+    """``records`` sorted by id; two that share an id raise DuplicateId."""
+    ordered = tuple(sorted(records, key=lambda r: r.id))
+    for before, after in pairwise(ordered):
+        if before.id == after.id:
+            raise DuplicateId(f"duplicate {kind} id {after.id}")
+    return ordered
 
 
 def build_dataset(
@@ -698,8 +711,9 @@ def build_dataset(
     """Link, annotate, and freeze parsed records into a GridDataset.
 
     Raises DanglingReference for any cross-file id that does not
-    resolve, and OverlappingAreas if two area polygons both hold a bus
-    or population point strictly inside.
+    resolve, DuplicateId for an id that two records of one kind share,
+    and OverlappingAreas if two area polygons both hold a bus or
+    population point strictly inside.
     """
     bus_ids = {b.id for b in buses}
     for line in lines:
@@ -713,25 +727,27 @@ def build_dataset(
             raise DanglingReference(
                 f"generator {gen.id} references unknown bus {gen.bus_id}"
             )
-    loads = link_area_loads(area_loads, planning_areas)
+    areas = _by_id("planning area", planning_areas)
+    loads = link_area_loads(area_loads, areas)
 
-    population = aggregate_population(population_points, planning_areas)
+    population = aggregate_population(population_points, areas)
     merged_areas = tuple(
         replace(
             area,
             avg_hourly_load_mw=loads.get(area.id, 0.0),
             population=population.get(area.id, 0),
         )
-        for area in sorted(planning_areas, key=lambda a: a.id)
+        for area in areas
     )
-    annotated = assign_regions(buses, merged_areas, tuple(city_polygons))
+    cities = _by_id("city", city_polygons)
+    annotated = assign_regions(buses, merged_areas, cities)
 
     return GridDataset(
-        buses=tuple(sorted(annotated, key=lambda b: b.id)),
-        lines=tuple(sorted(lines, key=lambda l: l.id)),
-        generators=tuple(sorted(generators, key=lambda g: g.id)),
+        buses=_by_id("bus", annotated),
+        lines=_by_id("line", lines),
+        generators=_by_id("generator", generators),
         planning_areas=merged_areas,
-        city_polygons=tuple(sorted(city_polygons, key=lambda c: c.id)),
+        city_polygons=cities,
     )
 
 

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import random
 import shutil
+import time
 from types import MappingProxyType
 
 import pytest
@@ -393,6 +394,56 @@ def _assert_matches_networkx(attributed: bool) -> None:
         assert solution.max_residual <= 1e-6
 
 
+def test_lp_cancels_flow_to_reach_a_load_a_forward_walk_cannot():
+    # a serves c first; b reaches d only through c, cancelling a's flow
+    # on l1 back to a, which then serves d.
+    grid, orientation, snap, load = lp_case(
+        ["a", "b", "c", "d"],
+        [("l1", "a", "c"), ("l2", "a", "d"), ("l3", "b", "c")],
+        {"a": 1.0, "b": 1.0},
+        {"c": 1.0, "d": 1.0},
+    )
+    solution = solve_flow_lp(orientation, grid, load, snap)
+    assert solution.objective == 0.0
+    assert dict(solution.flows) == {"l1": 0.0, "l2": 1.0, "l3": 1.0}
+    assert solution.iterations == 2
+    assert solution.max_residual == 0.0
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_lp_matches_networkx_on_any_float_outputs_and_loads(data):
+    """Outputs and loads are any nonnegative floats up to 1e6 MW,
+    subnormals included, for which float sums still balance within
+    1e-6 MW: the max-flow compares its bottlenecks with 0.0 exactly."""
+    nx = pytest.importorskip("networkx")
+    n = data.draw(st.integers(2, 7), label="buses")
+    bus_ids = [f"B{i}" for i in range(n)]
+    ends = st.tuples(st.sampled_from(bus_ids), st.sampled_from(bus_ids))
+    pairs = data.draw(st.lists(ends.filter(lambda p: p[0] != p[1]), min_size=1, max_size=10))
+    arcs = [(f"L{j}", frm, to) for j, (frm, to) in enumerate(pairs)]
+    mw = st.floats(min_value=0.0, max_value=1e6, allow_subnormal=True)
+    caps = data.draw(st.dictionaries(st.sampled_from(bus_ids), mw), label="outputs")
+    loads = data.draw(st.dictionaries(st.sampled_from(bus_ids), mw), label="loads")
+    grid, orientation, snap, load = lp_case(bus_ids, arcs, caps, loads)
+    solution = solve_flow_lp(orientation, grid, load, snap)
+
+    network = nx.DiGraph()
+    network.add_nodes_from(("source", "sink"))
+    for bus, cap in caps.items():
+        network.add_edge("source", bus, capacity=cap)
+    for bus, demand in loads.items():
+        network.add_edge(bus, "sink", capacity=demand)
+    for _lid, frm, to in arcs:
+        network.add_edge(frm, to)  # no capacity: unbounded
+    total_load = math.fsum(loads.values())
+    expected = total_load - nx.maximum_flow_value(network, "source", "sink")
+    assert abs(solution.objective - expected) <= 1e-9 * max(1.0, total_load)
+    assert all(f >= 0.0 for f in solution.flows.values())
+    assert all(e >= 0.0 for e in solution.mismatch.values())
+    assert solution.max_residual <= 1e-6
+
+
 def test_lp_matches_networkx_beyond_bruteforce_size():
     _assert_matches_networkx(attributed=False)
 
@@ -555,12 +606,21 @@ def test_warm_solve_matches_cold_solve_on_lattices(seed, rows, cols, positive_ca
 
 def test_attributed_solve_takes_no_augmenting_path_at_scale():
     # 78 x 78 = 6084 buses with 608 generators online: started from zero
-    # flow, Dinic takes thousands of augmenting paths here.
+    # flow, the max-flow pushes about 4,600 augmenting paths here.
     dataset = lattice_dataset(random.Random(5), 78, 78, positive_caps=True)
     grid, orientation, snap, load = _attributed(dataset)
     solution = solve_flow_lp(orientation, grid, load, snap)
     assert solution.iterations == 0
     assert solution.max_residual <= 1e-6
+
+
+def test_cold_solve_at_scale_matches_the_warm_solve_in_budget():
+    # Per-phase tree pushes keep the cold solve near 0.1 s here; one
+    # augmenting path per walk would take several seconds.
+    case = _attributed(lattice_dataset(random.Random(5), 78, 78, positive_caps=True))
+    start = time.process_time()
+    _assert_warm_matches_cold(*case)
+    assert time.process_time() - start <= 2.0
 
 
 def test_a_perturbed_routing_shows_in_max_residual(monkeypatch):

@@ -515,6 +515,37 @@ def test_build_rejects_dangling_area_load():
         )
 
 
+# kind -> (build_dataset argument, record that repeats an id, that id)
+REPEATED_RECORDS = {
+    "bus": ("buses", _bus("S1", 3, 3), "S1"),
+    "line": ("lines", LineRecord("L1", "S2", "S1", 240.0), "L1"),
+    "generator": ("generators", GeneratorRecord("G1", "S2", 7.0, "GAS"), "G1"),
+    "planning area": ("planning_areas", PlanningArea("A2", "North", rect(0, 2, 2, 4)), "A2"),
+    "city": ("city_polygons", CityPolygon("C1", "Village", rect(3, 0, 4, 1)), "C1"),
+    "area load": ("area_loads", AreaLoad("A1", "West", 12.0), "A1"),
+}
+
+
+@pytest.mark.parametrize("kind", REPEATED_RECORDS)
+def test_build_rejects_a_repeated_id(kind):
+    records = {
+        "buses": [_bus("S1", 1, 1), _bus("S2", 3, 1)],
+        "lines": [LineRecord("L1", "S1", "S2", 240.0)],
+        "generators": [GeneratorRecord("G1", "S1", 5.0, "GAS")],
+        "planning_areas": [
+            PlanningArea("A1", "West", rect(0, 0, 2, 2)),
+            PlanningArea("A2", "East", rect(2, 0, 4, 2)),
+        ],
+        "area_loads": [AreaLoad("A1", "West", 10.0)],
+        "city_polygons": [CityPolygon("C1", "Town", rect(0, 0, 1, 1))],
+    }
+    build_dataset(**records)
+    field, repeat, repeated_id = REPEATED_RECORDS[kind]
+    records[field].append(repeat)
+    with pytest.raises(DuplicateId, match=f"^duplicate {kind} id {repeated_id}$"):
+        build_dataset(**records)
+
+
 def test_build_merges_loads_and_population():
     dataset = build_dataset(
         buses=[_bus("S1", 5, 5)],
