@@ -21,8 +21,9 @@ edges get a seeded-random direction, which cannot break reachability.
 Heuristic directions are never overwritten.
 
 All voltage comparisons use :func:`gridtopo.graph.voltage_class`, so
-240 kV and 500 kV are interchangeable. The whole procedure is a pure
-function of (grid, snapshot, seed).
+240 kV and 500 kV are interchangeable. Stage 1 ranks each bus once, in
+a map it drops when it returns; stage 2 ranks only its own subgraph's
+buses. The whole procedure is a pure function of (grid, snapshot, seed).
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping
 
 from . import rng
-from .graph import Grid
+from .graph import Grid, voltage_class
 from .ingest import LineRecord, _read_rows, write_csv
 
 if TYPE_CHECKING:
@@ -123,6 +124,7 @@ def apply_heuristics(
     conflict.
     """
     outputs = snapshot.outputs
+    rank = {bus: voltage_class(record.voltage_kv) for bus, record in grid.buses.items()}
     directions: dict[str, Direction] = {}
     provenance: dict[str, Provenance] = {}
     conflicts: list[str] = []
@@ -130,9 +132,9 @@ def apply_heuristics(
     fed: set[str] = set()
 
     for line_id, line in grid.lines.items():
-        class_a = grid.bus_class(line.endpoint_a)
-        class_b = grid.bus_class(line.endpoint_b)
-        class_line = grid.line_class(line_id)
+        class_a = rank[line.endpoint_a]
+        class_b = rank[line.endpoint_b]
+        class_line = voltage_class(line.voltage_kv)
         active_a = outputs.get(line.endpoint_a, 0.0) > 0.0
         active_b = outputs.get(line.endpoint_b, 0.0) > 0.0
 
@@ -217,7 +219,7 @@ def entry_points(
     snapshot and in ``partial.fed``, so the cost is O(subgraph buses)
     and no adjacency row is walked.
     """
-    classes = {bus: grid.bus_class(bus) for bus in subgraph.buses}
+    classes = {bus: voltage_class(grid.buses[bus].voltage_kv) for bus in subgraph.buses}
     top = max(classes.values())
     entries: set[str] = set()
     if min(classes.values()) < top:

@@ -1,4 +1,4 @@
-"""Undirected multigraph over buses and lines, plus voltage-class order.
+"""Undirected multigraph over buses and lines, and the voltage-class rule.
 
 Parallel circuits between the same pair of buses are kept as distinct
 edges; collapsing them would corrupt flow totals downstream. The grid
@@ -30,22 +30,15 @@ def voltage_class(kv: float) -> float:
 
 @dataclass(frozen=True)
 class Grid:
-    """Immutable adjacency view of a GridDataset's buses and lines.
-
-    ``buses``, ``lines`` and ``adjacency`` iterate in id order.
-    ``adjacency[bus]`` lists ``(line_id, neighbor_bus)`` pairs sorted by
-    (neighbor, line id); every line appears exactly once per endpoint.
+    """Immutable adjacency view of a GridDataset: ``buses`` and ``lines``
+    map ids to their records, and ``adjacency[bus]`` lists ``(line_id,
+    neighbor_bus)`` pairs sorted by (neighbor, line id), every line once
+    per endpoint. All three mappings iterate in id order.
     """
 
     buses: Mapping[str, BusRecord]
     lines: Mapping[str, LineRecord]
     adjacency: Mapping[str, tuple[tuple[str, str], ...]]
-
-    def line_class(self, line_id: str) -> float:
-        return voltage_class(self.lines[line_id].voltage_kv)
-
-    def bus_class(self, bus_id: str) -> float:
-        return voltage_class(self.buses[bus_id].voltage_kv)
 
 
 def build_grid(dataset: GridDataset) -> Grid:

@@ -181,7 +181,8 @@ class GridDataset:
 def _read_rows(
     path, required: Sequence[str], make, optional: Sequence[str] = (), *, kind=""
 ) -> list:
-    """Validate the header, then return ``[make(row) for each row]``.
+    """Validate the header, then return each row's ``make(row)`` that is
+    not None (the border parse collects its vertices itself).
 
     Each row reaches ``make`` as the ``csv.reader`` list of raw strings.
     The header must list the required columns in order, optionally
@@ -236,7 +237,9 @@ def _read_rows(
                     if record_id in seen:
                         raise DuplicateId(f"duplicate {kind} id {record_id}")
                     seen.add(record_id)
-                records.append(make(row))
+                record = make(row)
+                if record is not None:
+                    records.append(record)
         except IngestError as exc:
             raise type(exc)(str(exc), path=path, row=lineno) from None
         except csv.Error as exc:

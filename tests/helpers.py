@@ -297,8 +297,8 @@ def planar_lattice_records(rng, rows, cols, areas_per_side=4, cities=10) -> dict
     }
 
 
-def lattice_dataset(rng, rows, cols, positive_caps=False) -> GridDataset:
-    """``planar_lattice_records`` built with random area loads; with
+def lattice_records(rng, rows, cols, positive_caps=False) -> dict:
+    """``planar_lattice_records`` with random ``area_loads``; with
     ``positive_caps``, its 0 MW generators get 100 MW, so every
     generation bus is online."""
     records = planar_lattice_records(rng, rows, cols)
@@ -307,5 +307,12 @@ def lattice_dataset(rng, rows, cols, positive_caps=False) -> GridDataset:
             dataclasses.replace(g, max_capacity_mw=g.max_capacity_mw or 100.0)
             for g in records["generators"]
         ]
-    loads = [AreaLoad(a.id, a.name, rng.uniform(1.0, 500.0)) for a in records["planning_areas"]]
-    return build_dataset(**records, area_loads=loads)
+    records["area_loads"] = [
+        AreaLoad(a.id, a.name, rng.uniform(1.0, 500.0)) for a in records["planning_areas"]
+    ]
+    return records
+
+
+def lattice_dataset(rng, rows, cols, positive_caps=False) -> GridDataset:
+    """``lattice_records`` built into a dataset."""
+    return build_dataset(**lattice_records(rng, rows, cols, positive_caps))

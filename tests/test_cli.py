@@ -248,6 +248,54 @@ def test_validate_names_file_and_row_of_oversize_field(capsys, tmp_path):
     assert err == f"error: {substations}: row 3: field larger than field limit (131072)\n"
 
 
+def test_diff_names_an_orientation_file_it_cannot_read(capsys, tmp_path):
+    missing = tmp_path / "missing.csv"
+    good = tmp_path / "good.csv"
+    good.write_text("line_id,from_bus,to_bus,provenance\n", encoding="utf-8")
+    code, out, err = run(capsys, "diff", str(missing), str(good))
+    assert code == 1
+    assert out == ""
+    assert err == (
+        f"error: cannot read {missing}: "
+        f"[Errno 2] No such file or directory: {str(missing)!r}\n"
+    )
+
+
+def test_validate_names_an_empty_file_and_its_header(capsys, tmp_path):
+    data = tmp_path / "pair"
+    shutil.copytree(FIXTURES / "pair", data)
+    (data / "Line.csv").write_text("", encoding="utf-8")
+    code, out, err = run(capsys, "validate", "--data-dir", str(data))
+    assert code == 1
+    assert out == ""
+    header = "id,bus_a,bus_b,voltage_kv"  # the required columns
+    assert err == f"error: {data / 'Line.csv'}: empty file, expected header {header}\n"
+
+
+def test_validate_names_file_and_row_of_bad_wkt_pair(capsys, tmp_path):
+    data = tmp_path / "grid30"
+    shutil.copytree(FIXTURES / "grid30", data)
+    lines = data / "Line.csv"
+    rows = lines.read_text(encoding="utf-8").splitlines()
+    rows[2] = 'L01,S01,S02,240.0,"LINESTRING (0 0, 1)"'  # one coordinate in the second pair
+    lines.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    code, out, err = run(capsys, "validate", "--data-dir", str(data))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {lines}: row 3: bad WKT coordinate pair: ' 1'\n"
+
+
+@pytest.mark.parametrize("flag", ["--version", "--help"])
+def test_version_and_help_exit_0(capsys, flag):
+    code, out, err = run(capsys, flag)
+    assert code == 0
+    assert err == ""
+    if flag == "--version":
+        assert out == "gridtopo 0.1.0\n"
+    else:
+        assert out.startswith("usage: gridtopo ")
+
+
 @pytest.mark.parametrize(
     "command, out, target",
     [

@@ -18,7 +18,7 @@ from gridtopo.direction import (
     write_orientation_csv,
 )
 from gridtopo.dispatch import GenerationSnapshot, make_snapshot
-from gridtopo.graph import build_grid
+from gridtopo.graph import build_grid, voltage_class
 from gridtopo.ingest import (
     DuplicateId,
     InvalidValue,
@@ -440,7 +440,7 @@ def _reference_residual_subgraphs(grid, partial):
 
 def _reference_entry_points(subgraph, grid, snapshot, partial):
     """The full-scan definition: every generator and every stage-1 line."""
-    classes = {bus: grid.bus_class(bus) for bus in subgraph.buses}
+    classes = {bus: voltage_class(grid.buses[bus].voltage_kv) for bus in subgraph.buses}
     top = max(classes.values())
     entries = set()
     if min(classes.values()) < top:
@@ -539,7 +539,7 @@ def test_entry_points_match_full_scan_reference():
                 generating = any(snapshot.outputs.get(b, 0.0) > 0.0 for b in sub.buses)
                 seen["generation" if generating else "no_generation"] += 1
                 seen["fallback"] += expected[1]
-            classes = {grid.bus_class(b) for b in sub.buses}
+            classes = {voltage_class(grid.buses[b].voltage_kv) for b in sub.buses}
             seen["uniform" if len(classes) == 1 else "mixed"] += 1
         assert rows.reads == 0
     assert all(count > 0 for count in seen.values()), seen

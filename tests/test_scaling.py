@@ -1,6 +1,7 @@
 """Scaling guards: ingest-to-orientation work, CSV loading and the
 solve chain must grow about linearly, region assignment walks about one
-polygon per point, and a paper-scale solve through the CLI stays fast."""
+polygon per point, a paper-scale solve through the CLI stays fast, and
+the solve chain's heap peak grows about linearly under a pinned bound."""
 
 import gc
 import os
@@ -8,11 +9,12 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import gridtopo
 from gridtopo import ingest
-from gridtopo.demand import allocate_demand_index
+from gridtopo.demand import allocate_demand_index, write_demand_index_csv
 from gridtopo.direction import orient_all, write_orientation_csv
 from gridtopo.dispatch import (
     estimate_bus_load,
@@ -24,7 +26,7 @@ from gridtopo.geometry import locate
 from gridtopo.graph import build_grid
 from gridtopo.ingest import DATASET_FILES, AreaLoad, build_dataset, load_dataset
 
-from helpers import lattice_dataset, planar_lattice_records
+from helpers import lattice_dataset, lattice_records, planar_lattice_records
 
 
 def _cpu_seconds(work, arg) -> float:
@@ -99,8 +101,12 @@ def test_solve_chain_scales_linearly(tmp_path):
 
 
 def _write_dataset(records, data_dir) -> None:
-    """Write ``records`` as the canonical file family through ``serialize_*``."""
-    loads = [AreaLoad(a.id, a.name, 100.0) for a in records["planning_areas"]]
+    """Write ``records`` as the canonical file family through ``serialize_*``;
+    without ``area_loads`` in ``records``, every area loads 100 MW."""
+    loads = records.get("area_loads") or [
+        AreaLoad(a.id, a.name, 100.0) for a in records["planning_areas"]
+    ]
+    records = {**records, "area_loads": loads}
     texts = {
         "buses": ingest.serialize_buses(records["buses"]),
         "lines": ingest.serialize_lines(records["lines"]),
@@ -112,7 +118,7 @@ def _write_dataset(records, data_dir) -> None:
     }
     for key, name in DATASET_FILES.items():
         ingest.write_text(data_dir / name, texts[key])
-    assert load_dataset(data_dir) == build_dataset(**records, area_loads=loads)
+    assert load_dataset(data_dir) == build_dataset(**records)
 
 
 def test_load_dataset_from_csv_scales_linearly(tmp_path):
@@ -137,3 +143,76 @@ def test_paper_scale_solve_through_the_cli_takes_under_a_second(tmp_path):
     assert result.returncode == 0, result.stderr
     assert result.stdout.startswith("objective=")
     assert elapsed < 1.0, f"paper-scale solve took {elapsed:.3f} s"
+
+
+def solve_chain_heap(data_dir, out_dir) -> dict[str, tuple[int, int]]:
+    """Run ``solve --mode max`` on the CSV family in ``data_dir`` under
+    tracemalloc, writing to ``out_dir``; return each stage's live bytes
+    after it and its peak, in chain order. A stage's peak counts from the
+    end of the stage before, so the largest is the chain's peak."""
+    stages: dict[str, tuple[int, int]] = {}
+
+    def done(stage: str) -> None:
+        stages[stage] = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+
+    gc.collect()  # the collector starts each chain from the same counts
+    tracemalloc.start()
+    try:
+        dataset = load_dataset(data_dir)
+        done("load_dataset")
+        grid = build_grid(dataset)
+        done("build_grid")
+        snapshot = make_snapshot(dataset)
+        done("make_snapshot")
+        orientation = orient_all(grid, snapshot)
+        done("orient_all")
+        index = allocate_demand_index(dataset)
+        done("allocate_demand_index")
+        load = estimate_bus_load(index, snapshot, orientation, grid)
+        done("estimate_bus_load")
+        solution = solve_flow_lp(orientation, grid, load, snapshot)
+        done("solve_flow_lp")
+        write_solution_files(solution, orientation, grid, out_dir)
+        write_orientation_csv(orientation, grid, out_dir / "orientation.csv")
+        write_demand_index_csv(index, out_dir / "demand_index.csv")
+        done("writers")
+    finally:
+        tracemalloc.stop()
+    return stages
+
+
+def chain_peaks_per_element(work_dir) -> tuple[float, float]:
+    """The solve chain's heap peak in bytes per (bus + line) on a 25 x 25
+    and a 50 x 50 ``lattice_records`` grid written to CSV under
+    ``work_dir``. Needs no pytest, so any interpreter can run it:
+
+        PYTHONPATH=src:tests python -c "import tempfile, test_scaling as t; \\
+            print(t.chain_peaks_per_element(t.Path(tempfile.mkdtemp())))"
+    """
+    peaks = []
+    for side in (25, 50):
+        records = lattice_records(random.Random(5), side, side, positive_caps=True)
+        data = Path(work_dir) / f"data_{side}"
+        _write_dataset(records, data)
+        stages = solve_chain_heap(data, Path(work_dir) / f"solution_{side}")
+        elements = len(records["buses"]) + len(records["lines"])
+        peaks.append(max(peak for _, peak in stages.values()) / elements)
+    return peaks[0], peaks[1]
+
+
+#: The larger grid's chain peak per (bus + line), in bytes, by Python
+#: minor version: the value measured with 3.10.13 and 3.11.7, plus a 5%
+#: margin for patch releases. A change may lower a pin, never raise it.
+CHAIN_PEAK_PER_ELEMENT = {(3, 10): 660, (3, 11): 595}
+
+
+def test_solve_chain_heap_is_about_linear_and_under_the_pin(tmp_path):
+    # Four times the buses and lines: a linear heap keeps its peak per
+    # element, a quadratic one would quadruple it. The smaller grid's
+    # fixed costs weigh more, so its figure is the larger one.
+    small, large = chain_peaks_per_element(tmp_path)
+    assert large < 1.25 * small, f"{small:.0f} -> {large:.0f} B per bus + line"
+    pin = CHAIN_PEAK_PER_ELEMENT.get(sys.version_info[:2])
+    if pin is not None:  # an unpinned version checks the ratio only
+        assert large <= pin, f"{large:.0f} B per bus + line, pinned at {pin}"
