@@ -164,10 +164,11 @@ def allocate_demand_index(
             warnings.append(
                 f"planning area {area.id}: non-urban share reassigned (no non-urban buses)"
             )
-        for bus in urban:
-            values[bus.id] = share_urban / len(urban)
-        for bus in rural:
-            values[bus.id] = share_rural / len(rural)
+        # one float per area and category, shared by its buses
+        for group, share in ((urban, share_urban), (rural, share_rural)):
+            each = share / len(group) if group else 0.0
+            for bus in group:
+                values[bus.id] = each
 
     return DemandIndex(values=MappingProxyType(values), warnings=tuple(warnings))
 

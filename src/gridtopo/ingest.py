@@ -27,6 +27,12 @@ that location. A point is a plain ``(x, y)`` float pair, checked finite
 once, where its floats are parsed. Cross-file references (line
 endpoints, generator buses, load area ids) are checked at link time in
 :func:`build_dataset`, not at parse time.
+
+Within one parse, each distinct WKT point, border vertex and voltage is
+one object (hash-consing), found in a table local to the parse and keyed
+by value, which is exact for nonzero finite floats. A pair with a zero
+coordinate is never shared: ``0.0 == -0.0``, so sharing could flip its
+sign and change a record's ``repr``.
 """
 
 from __future__ import annotations
@@ -318,6 +324,12 @@ _WKT_LINESTRING = re.compile(r"^\s*LINESTRING\s*\((.*)\)\s*$", re.IGNORECASE)
 
 
 def parse_wkt_linestring(text: str) -> tuple[Point, ...]:
+    return _parse_wkt(text, {})
+
+
+def _parse_wkt(text: str, shared: dict[Point, Point]) -> tuple[Point, ...]:
+    """:func:`parse_wkt_linestring`, taking each point with no zero
+    coordinate from ``shared`` if an equal one is there, else adding it."""
     match = _WKT_LINESTRING.match(text)
     if not match:
         raise ValueError(f"not a WKT LINESTRING: {text!r}")
@@ -329,7 +341,8 @@ def parse_wkt_linestring(text: str) -> tuple[Point, ...]:
         x, y = float(parts[0]), float(parts[1])
         if not (math.isfinite(x) and math.isfinite(y)):
             raise ValueError(f"non-finite coordinate ({x}, {y})")
-        points.append((x, y))
+        point = (x, y)
+        points.append(shared.setdefault(point, point) if x and y else point)
     if len(points) < 2:
         raise ValueError("LINESTRING needs at least 2 points")
     return tuple(points)
@@ -345,20 +358,29 @@ def format_wkt_linestring(points: Iterable[Point]) -> str:
 # columns by position and checking its fields in a fixed order, so a row
 # with several faults reports the same one.
 
-def _bus(row) -> BusRecord:
-    kv = _voltage(row[4])
-    return BusRecord(row[0], row[1], _point(row[2], row[3]), kv)
-
-
 def parse_buses(path) -> list[BusRecord]:
-    """Parse Substation.csv. Duplicate ids abort with the row number."""
-    return _read_rows(path, ("id", "name", "x", "y", "voltage_kv"), _bus, kind="bus")
+    """Parse Substation.csv. Duplicate ids abort with the row number.
+    The buses of one parse hold one float object per distinct voltage."""
+    volts: dict[float, float] = {}
+
+    def bus(row) -> BusRecord:
+        kv = _voltage(row[4])
+        location = _point(row[2], row[3])
+        return BusRecord(row[0], row[1], location, volts.setdefault(kv, kv))
+
+    return _read_rows(path, ("id", "name", "x", "y", "voltage_kv"), bus, kind="bus")
 
 
 def parse_lines(path) -> list[LineRecord]:
-    """Parse Line.csv. The lines of one parse that meet at a bus hold one
-    ``str`` object for its id, not one per line end."""
+    """Parse Line.csv. The lines of one parse hold one object per
+    distinct value of three kinds: one ``str`` for a bus id, not one per
+    line end; one float per voltage; and one ``(x, y)`` pair per WKT point
+    with no zero coordinate, so the line ends that meet at a substation
+    share its point. A pair with a zero coordinate is kept as parsed,
+    because ``(0.0, y) == (-0.0, y)`` and sharing would change its sign."""
     endpoints: dict[str, str] = {}
+    volts: dict[float, float] = {}
+    points: dict[Point, Point] = {}
 
     def line(row) -> LineRecord:
         bus_a = _require_id(row[1], "bus_a")
@@ -370,12 +392,12 @@ def parse_lines(path) -> list[LineRecord]:
         raw_wkt = row[4].strip() if len(row) > 4 else ""
         if raw_wkt:
             try:
-                geometry = parse_wkt_linestring(raw_wkt)
+                geometry = _parse_wkt(raw_wkt, points)
             except ValueError as exc:
                 raise InvalidValue(str(exc)) from None
         bus_a = endpoints.setdefault(bus_a, bus_a)
         bus_b = endpoints.setdefault(bus_b, bus_b)
-        return LineRecord(row[0], bus_a, bus_b, kv, geometry)
+        return LineRecord(row[0], bus_a, bus_b, volts.setdefault(kv, kv), geometry)
 
     return _read_rows(
         path, ("id", "bus_a", "bus_b", "voltage_kv"), line, ("wkt_geometry",), kind="line"
@@ -406,10 +428,14 @@ def _parse_border_rows(path, id_column: str, make) -> list:
     the checked converters, one field at a time, which raise the error
     of its first fault; so every row is judged as by the checked chain
     alone, and a well-formed row costs no more than its conversions.
+    The shapes of one parse hold one ``(x, y)`` pair per distinct vertex
+    with no zero coordinate, so neighbouring shapes share their common
+    vertices, as :func:`parse_lines` shares WKT points.
     """
     # vertices[id] -> {ring_index: {vertex_index: (x, y)}}, ids in file order
     vertices: dict[str, dict[int, dict[int, Point]]] = defaultdict(lambda: defaultdict(dict))
     names: dict[str, str] = {}
+    shared: dict[Point, Point] = {}
 
     def add_vertex(row) -> None:
         try:
@@ -432,7 +458,8 @@ def _parse_border_rows(path, id_column: str, make) -> list:
         ring = vertices[shape_id][ring_i]
         if vertex_i in ring:
             raise DuplicateId(f"duplicate vertex {vertex_i} in ring {ring_i} of {shape_id}")
-        ring[vertex_i] = (x, y)
+        point = (x, y)
+        ring[vertex_i] = shared.setdefault(point, point) if x and y else point
 
     _read_rows(path, (id_column, *_BORDER_COLUMNS), add_vertex)
 

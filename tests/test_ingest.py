@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import itertools
 import math
 import random
 import tempfile
@@ -30,11 +31,14 @@ from gridtopo.ingest import (
     PopulationPoint,
     UnexpectedColumn,
     _BORDER_COLUMNS,
+    _WKT_LINESTRING,
     _area_of,
     _int,
     _point,
     _read_rows,
     _require_id,
+    _undecodable,
+    _voltage,
     assign_regions,
     build_dataset,
     format_wkt_linestring,
@@ -209,6 +213,14 @@ def test_non_utf8_byte_names_file_and_its_row(tmp_path, bad_row, newline, bom):
     )
 
 
+def test_undecodable_file_that_decodes_now_reports_the_readers_byte_and_no_row(tmp_path):
+    # The file changed after the reader failed: the message comes from the
+    # reader's own error, and no row can be named.
+    path = write(tmp_path, "Substation.csv", "id,name,x,y,voltage_kv\nS1,A,0,0,240\n")
+    exc = UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte")
+    assert _undecodable(path, exc) == ("not UTF-8: byte 0xff (invalid start byte)", None)
+
+
 @pytest.mark.parametrize(
     "head, row",
     [
@@ -325,6 +337,49 @@ def test_parse_lines_shares_one_id_object_per_bus(tmp_path):
     assert l1.endpoint_b is l2.endpoint_a
     assert l2.endpoint_b is l3.endpoint_a
     assert l3.endpoint_b is l1.endpoint_a
+
+
+def _unshared_wkt(text):
+    """The WKT parse with a new pair for every point: the reference for
+    the points ``parse_lines`` shares."""
+    match = _WKT_LINESTRING.match(text)
+    if not match:
+        raise ValueError(f"not a WKT LINESTRING: {text!r}")
+    points = []
+    for chunk in match.group(1).split(","):
+        parts = chunk.split()
+        if len(parts) != 2:
+            raise ValueError(f"bad WKT coordinate pair: {chunk!r}")
+        x, y = float(parts[0]), float(parts[1])
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ValueError(f"non-finite coordinate ({x}, {y})")
+        points.append((x, y))
+    if len(points) < 2:
+        raise ValueError("LINESTRING needs at least 2 points")
+    return tuple(points)
+
+
+def _unshared_lines(path):
+    """``parse_lines`` with a new object for every field of every row."""
+
+    def line(row):
+        bus_a = _require_id(row[1], "bus_a")
+        bus_b = _require_id(row[2], "bus_b")
+        if bus_a == bus_b:
+            raise InvalidValue(f"line {row[0]} is a self-loop on {bus_a}")
+        kv = _voltage(row[3])
+        geometry = None
+        raw_wkt = row[4].strip() if len(row) > 4 else ""
+        if raw_wkt:
+            try:
+                geometry = _unshared_wkt(raw_wkt)
+            except ValueError as exc:
+                raise InvalidValue(str(exc)) from None
+        return LineRecord(row[0], bus_a, bus_b, kv, geometry)
+
+    return _read_rows(
+        path, ("id", "bus_a", "bus_b", "voltage_kv"), line, ("wkt_geometry",), kind="line"
+    )
 
 
 def test_parse_border_builds_polygon(tmp_path):
@@ -467,6 +522,135 @@ def _border_files(draw):
 @given(data=st.data())
 def test_border_rows_parse_as_the_checked_chain(id_column, data):
     rows = data.draw(_border_files())
+    with tempfile.TemporaryDirectory() as tmp:
+        _assert_border_parse_matches_checked_chain(Path(tmp), id_column, rows)
+
+
+def _assert_shared_but_for_zeros(points):
+    """Equal pairs with no zero coordinate are one object, and each
+    occurrence of a pair with a zero coordinate is its own, so none takes
+    the sign of its twin."""
+    for p, q in itertools.combinations(points, 2):
+        if p == q:
+            assert (p is q) == bool(p[0] and p[1]), (p, q)
+
+
+_ZERO_PAIRS = {"0.0 1": (0.0, 1.0), "-0.0 1": (-0.0, 1.0), "0 1": (0.0, 1.0)}
+_ZERO_ORDERS = list(itertools.permutations(_ZERO_PAIRS))
+
+
+@pytest.mark.parametrize("order", _ZERO_ORDERS, ids="|".join)
+def test_parse_lines_keeps_the_sign_of_a_zero_coordinate(tmp_path, order):
+    # (0.0, 1.0) == (-0.0, 1.0), so a pair with a zero is never shared.
+    flipped = [" ".join(reversed(text.split())) for text in order]
+    rows = [
+        f'L{n},S{n},S{n + 1},240,"LINESTRING ({", ".join(chunks)}, 2 2)"'
+        for n, chunks in enumerate([order, flipped, order[::-1]])
+    ]
+    path = write(
+        tmp_path, "Line.csv", "\n".join(["id,bus_a,bus_b,voltage_kv,wkt_geometry", *rows]) + "\n"
+    )
+    lines = parse_lines(path)
+    assert repr(lines) == repr(_unshared_lines(path))
+    assert repr(lines[0].geometry[:3]) == repr(tuple(_ZERO_PAIRS[text] for text in order))
+    _assert_shared_but_for_zeros([p for line in lines for p in line.geometry])
+
+
+@pytest.mark.parametrize("id_column", sorted(_BORDER_PARSERS))
+@pytest.mark.parametrize("order", _ZERO_ORDERS, ids="|".join)
+def test_border_parse_keeps_the_sign_of_a_zero_coordinate(tmp_path, id_column, order):
+    # Three triangles share two vertices and differ in the sign of a zero.
+    rows = [
+        [f"S{n}", f"N{n}", "0", str(k), *xy]
+        for n, text in enumerate(order)
+        for k, xy in enumerate([text.split(), ["2", "1"], ["2", "2"]])
+    ]
+    parse, make = _BORDER_PARSERS[id_column]
+    path = write(
+        tmp_path, "Border.csv",
+        "\n".join(",".join(row) for row in [[id_column, *_BORDER_COLUMNS], *rows]) + "\n",
+    )
+    shapes = parse(path)
+    assert repr(shapes) == repr(_checked_border_rows(path, id_column, make))
+    assert [repr(s.boundary.rings[0][0]) for s in shapes] == [
+        repr(_ZERO_PAIRS[text]) for text in order
+    ]
+    _assert_shared_but_for_zeros([p for s in shapes for p in s.boundary.rings[0][:-1]])
+
+
+# Coordinate texts of a few values, with both zeros; now and then one
+# that is no finite number, or a chunk or a voltage that the parse refuses.
+_WKT_COORDS = ["0", "0.0", "-0.0", "-0", "1", "1.0", "1e0", "+1", "2.5", "-3"]
+_ODD_COORDS = ["1e999", "nan", "x"]
+_BAD_CHUNKS = ["1", "1 2 3", "", "a b"]
+
+
+def _seldom(draw, common, odd, one_in=20):
+    return draw(st.sampled_from(odd if draw(st.integers(1, one_in)) == 1 else common))
+
+
+@st.composite
+def _line_files(draw):
+    """Rows of ``Line.csv`` whose WKT points come from a few coordinate
+    texts, so pairs repeat within and across lines, spaced by varied
+    whitespace; now and then a bad chunk follows a good one."""
+    rows = []
+    for n in range(draw(st.integers(1, 4))):
+        chunks = []
+        for _ in range(draw(st.integers(2, 5))):
+            x, y = (_seldom(draw, _WKT_COORDS, _ODD_COORDS) for _ in range(2))
+            lead, gap, tail = (draw(st.sampled_from(["", " ", "\t", "  "])) for _ in range(3))
+            chunks.append(f"{lead}{x}{gap or ' '}{y}{tail}")
+        if draw(st.integers(0, 9)) == 0:
+            chunks.insert(draw(st.integers(1, len(chunks))), draw(st.sampled_from(_BAD_CHUNKS)))
+        keyword = draw(st.sampled_from(["LINESTRING ", "linestring", " LineString  "]))
+        kv = _seldom(draw, ["240", "240.0", "2.4e2", "138"], ["-0", "x"])
+        wkt = f"{keyword}({','.join(chunks)})" if draw(st.integers(0, 5)) else ""
+        rows.append([f"L{n}", f"S{n}", f"S{n + 1}", kv, wkt])
+    return rows
+
+
+def _wkt_outcome(parse, text):
+    try:
+        return repr(parse(text))
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(rows=_line_files())
+def test_parse_lines_shares_as_the_unshared_parse_reads(rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "Line.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows([["id", "bus_a", "bus_b", "voltage_kv", "wkt_geometry"], *rows])
+        assert _parse_outcome(parse_lines, path) == _parse_outcome(_unshared_lines, path), rows
+    for row in rows:
+        assert _wkt_outcome(parse_wkt_linestring, row[4]) == _wkt_outcome(_unshared_wkt, row[4])
+
+
+@st.composite
+def _shared_vertex_border_files(draw):
+    """Rows of up to three rings whose vertices come from the coordinate
+    texts of ``_line_files``, padded by varied whitespace, so shapes
+    share vertices and both zeros meet; now and then one is odd."""
+    rows = []
+    for shape in range(draw(st.integers(1, 3))):
+        for k in range(draw(st.integers(3, 5))):
+            x, y = (
+                draw(st.sampled_from(["", " ", "\t"]))
+                + _seldom(draw, _WKT_COORDS, _ODD_COORDS, one_in=100)
+                for _ in range(2)
+            )
+            rows.append([f"S{shape}", f"N{shape}", "0", str(k), x, y])
+    return draw(st.permutations(rows))
+
+
+@pytest.mark.parametrize("id_column", sorted(_BORDER_PARSERS))
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_border_rows_with_shared_vertices_parse_as_the_checked_chain(id_column, data):
+    rows = data.draw(_shared_vertex_border_files())
     with tempfile.TemporaryDirectory() as tmp:
         _assert_border_parse_matches_checked_chain(Path(tmp), id_column, rows)
 

@@ -1,9 +1,12 @@
 """Scaling guards: ingest-to-orientation work, CSV loading and the
 solve chain must grow about linearly, region assignment walks about one
-polygon per point, a paper-scale solve through the CLI stays fast, and
-the solve chain's heap peak grows about linearly under a pinned bound."""
+polygon per point, a paper-scale solve through the CLI stays fast, the
+solve chain's heap peak grows about linearly under a pinned bound, and
+one parse keeps one object per distinct value."""
 
+import dataclasses
 import gc
+import itertools
 import os
 import random
 import subprocess
@@ -204,7 +207,7 @@ def chain_peaks_per_element(work_dir) -> tuple[float, float]:
 #: The larger grid's chain peak per (bus + line), in bytes, by Python
 #: minor version: the value measured with 3.10.13 and 3.11.7, plus a 5%
 #: margin for patch releases. A change may lower a pin, never raise it.
-CHAIN_PEAK_PER_ELEMENT = {(3, 10): 660, (3, 11): 595}
+CHAIN_PEAK_PER_ELEMENT = {(3, 10): 623, (3, 11): 558}
 
 
 def test_solve_chain_heap_is_about_linear_and_under_the_pin(tmp_path):
@@ -216,3 +219,49 @@ def test_solve_chain_heap_is_about_linear_and_under_the_pin(tmp_path):
     pin = CHAIN_PEAK_PER_ELEMENT.get(sys.version_info[:2])
     if pin is not None:  # an unpinned version checks the ratio only
         assert large <= pin, f"{large:.0f} B per bus + line, pinned at {pin}"
+
+
+def _drawn_lines(records) -> list:
+    """``records``' lines, each drawn from its bus a through the left edge
+    of bus a's lattice cell to its bus b. That bend lies on x = 0 for a
+    bus in the first column, so the geometries repeat pairs with a zero
+    coordinate as well as nonzero ones."""
+    at = {bus.id: bus.location for bus in records["buses"]}
+    return [
+        dataclasses.replace(
+            line, geometry=(a := at[line.endpoint_a], (a[0] - 5.0, a[1]), at[line.endpoint_b])
+        )
+        for line in records["lines"]
+    ]
+
+
+def _assert_one_object_per_nonzero_pair(points) -> None:
+    """Every pair with no zero coordinate is one object per value, and
+    every occurrence of a pair with a zero coordinate is its own."""
+    zeros = [p for p in points if not (p[0] and p[1])]
+    assert len(set(zeros)) < len(zeros), "no zero pair repeats, so the gate cannot see one shared"
+    nonzero = {p for p in points if p[0] and p[1]}
+    assert len({id(p) for p in points}) == len(nonzero) + len(zeros)
+
+
+def test_one_parse_keeps_one_object_per_distinct_value(tmp_path):
+    records = lattice_records(random.Random(5), 25, 25)
+    records["lines"] = _drawn_lines(records)
+    _write_dataset(records, tmp_path)
+    dataset = load_dataset(tmp_path)
+
+    _assert_one_object_per_nonzero_pair([p for line in dataset.lines for p in line.geometry])
+    rings = [ring[:-1] for area in dataset.planning_areas for ring in area.boundary.rings]
+    _assert_one_object_per_nonzero_pair([p for ring in rings for p in ring])
+    for kind in (dataset.buses, dataset.lines):
+        volts = [record.voltage_kv for record in kind]
+        assert len({id(kv) for kv in volts}) == len(set(volts))
+    # neighbouring areas hold their common vertices as one object
+    common = 0
+    for ring, other in itertools.combinations(rings, 2):
+        theirs = {p: p for p in other}
+        for p in ring:
+            if p in theirs and p[0] and p[1]:
+                assert p is theirs[p]
+                common += 1
+    assert common
