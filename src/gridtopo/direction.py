@@ -12,13 +12,15 @@ first:
 3. Endpoint classes differing: high feeds low.
 
 Stage 2 walks the grid's adjacency for the connected residual
-subgraphs of still-undirected lines and orients each by multi-source
-BFS from its entry points: buses of the top voltage class (only
-meaningful when the subgraph mixes classes), buses with active
+subgraphs of still-undirected lines and grows one multi-source BFS
+tree in each, from its entry points: buses of the top voltage class
+(only meaningful when the subgraph mixes classes), buses with active
 generation, and the heads of stage-1 lines, which stage 1 records as
-it decides. BFS tree edges point parent to child; leftover non-tree
-edges get a seeded-random direction, which cannot break reachability.
-Heuristic directions are never overwritten.
+it decides. Buses are dequeued FIFO from the sorted entries and their
+lines visited in adjacency order, so each tree is deterministic; a
+tree line points parent to child. Every residual line off the trees
+gets a seeded-random direction keyed by its id, which cannot break
+reachability. Heuristic directions are never overwritten.
 
 All voltage comparisons use :func:`gridtopo.graph.voltage_class`, so
 240 kV and 500 kV are interchangeable. Stage 1 ranks each bus once, in
@@ -107,12 +109,6 @@ class PartialOrientation:
     fed: frozenset[str]
 
 
-@dataclass(frozen=True, slots=True)
-class ResidualSubgraph:
-    buses: tuple[str, ...]
-    lines: tuple[str, ...]
-
-
 def apply_heuristics(
     grid: Grid, snapshot: "GenerationSnapshot", seed: int = DEFAULT_SEED
 ) -> PartialOrientation:
@@ -172,145 +168,114 @@ def apply_heuristics(
     )
 
 
-def residual_subgraphs(grid: Grid, partial: PartialOrientation) -> tuple[ResidualSubgraph, ...]:
+def residual_subgraphs(grid: Grid, partial: PartialOrientation) -> tuple[tuple[str, ...], ...]:
     """Connected components of the grid restricted to undirected lines,
-    in order of their lowest bus id."""
+    each as its sorted bus ids, in order of their lowest bus id."""
     directed = partial.directions
     seen: set[str] = set()
-    subgraphs: list[ResidualSubgraph] = []
+    subgraphs: list[tuple[str, ...]] = []
     for line_id, line in grid.lines.items():
         if line_id in directed or line.endpoint_a in seen:
             continue
         seen.add(line.endpoint_a)
         stack = [line.endpoint_a]
         buses: list[str] = []
-        line_ids: set[str] = set()
         while stack:
             bus = stack.pop()
             buses.append(bus)
             for incident_id, neighbor in grid.adjacency[bus]:
-                if incident_id in directed:
-                    continue
-                line_ids.add(incident_id)
-                if neighbor not in seen:
+                if incident_id not in directed and neighbor not in seen:
                     seen.add(neighbor)
                     stack.append(neighbor)
-        subgraphs.append(ResidualSubgraph(tuple(sorted(buses)), tuple(sorted(line_ids))))
-    subgraphs.sort(key=lambda subgraph: subgraph.buses[0])
+        subgraphs.append(tuple(sorted(buses)))
+    subgraphs.sort()  # no two subgraphs share a bus, so this orders by lowest id
     return tuple(subgraphs)
 
 
 def entry_points(
-    subgraph: ResidualSubgraph,
+    subgraph: tuple[str, ...],
     grid: Grid,
     snapshot: "GenerationSnapshot",
     partial: PartialOrientation,
 ) -> tuple[tuple[str, ...], bool]:
-    """Buses through which power enters the subgraph.
+    """Buses through which power enters the subgraph (its sorted bus ids).
 
     Union of: (a) top-voltage-class buses, counted only when the
     subgraph mixes classes (in a uniform subgraph voltage carries no
     signal); (b) buses with active generation; (c) buses already fed by
-    a stage-1 directed line. Returns ``(entries, used_fallback)``; when
-    every rule comes up empty the lowest-id bus serves as entry so the
-    subgraph still gets a deterministic orientation.
+    a stage-1 directed line. Returns ``(entries, used_fallback)``, the
+    entries sorted; when every rule comes up empty the lowest-id bus
+    serves as entry so the subgraph still gets a deterministic
+    orientation.
 
     Only the subgraph's own buses are read, each looked up once in the
     snapshot and in ``partial.fed``, so the cost is O(subgraph buses)
     and no adjacency row is walked.
     """
-    classes = {bus: voltage_class(grid.buses[bus].voltage_kv) for bus in subgraph.buses}
+    classes = {bus: voltage_class(grid.buses[bus].voltage_kv) for bus in subgraph}
     top = max(classes.values())
     entries: set[str] = set()
     if min(classes.values()) < top:
         entries.update(bus for bus, cls in classes.items() if cls == top)
-    for bus in subgraph.buses:
+    for bus in subgraph:
         if snapshot.outputs.get(bus, 0.0) > 0.0 or bus in partial.fed:
             entries.add(bus)
 
     if entries:
         return tuple(sorted(entries)), False
-    return (subgraph.buses[0],), True
-
-
-def bfs_orient(
-    grid: Grid,
-    subgraph: ResidualSubgraph,
-    entries: tuple[str, ...],
-    seed: int = DEFAULT_SEED,
-    free_flow: frozenset[str] = frozenset(),
-) -> tuple[dict[str, Direction], dict[str, Provenance]]:
-    """Stage 2 for one subgraph: multi-source BFS orientation.
-
-    All entries start at depth 0; buses are dequeued FIFO and their
-    neighbors visited in sorted (bus id, line id) order, so the tree is
-    deterministic. Tree edges point parent to child. Non-tree edges
-    get a per-line seeded-random direction afterwards; reachability is
-    already guaranteed by the tree alone.
-    """
-    if not entries:
-        raise ValueError("bfs_orient requires at least one entry point")
-    remaining = set(subgraph.lines)
-    directions: dict[str, Direction] = {}
-    provenance: dict[str, Provenance] = {}
-
-    visited = set(entries)
-    queue = deque(sorted(entries))
-    while queue:
-        bus = queue.popleft()
-        for line_id, neighbor in grid.adjacency[bus]:
-            if line_id not in remaining:
-                continue  # directed already, by a heuristic or as a tree edge
-            if neighbor in visited:
-                continue  # non-tree edge; randomized below
-            line = grid.lines[line_id]
-            directions[line_id] = (
-                Direction.A_TO_B if bus == line.endpoint_a else Direction.B_TO_A
-            )
-            provenance[line_id] = (
-                Provenance.SPECIAL_FREE_FLOW
-                if line_id in free_flow
-                else Provenance.BFS_TREE
-            )
-            remaining.discard(line_id)
-            visited.add(neighbor)
-            queue.append(neighbor)
-
-    for line_id in sorted(remaining):
-        directions[line_id] = (
-            Direction.A_TO_B if rng.coin(seed, line_id) else Direction.B_TO_A
-        )
-        provenance[line_id] = Provenance.RESIDUAL_RANDOM
-    return directions, provenance
+    return subgraph[:1], True
 
 
 def orient_all(
     grid: Grid, snapshot: "GenerationSnapshot", seed: int = DEFAULT_SEED
 ) -> Orientation:
-    """Run both stages. Each map is assembled once, in line-id order; a
-    line that no stage directed fails the assembly with a ``KeyError``."""
+    """Run both stages; each map is assembled once, in line-id order."""
     partial = apply_heuristics(grid, snapshot, seed)
-    residual_dir: dict[str, Direction] = {}
-    residual_prov: dict[str, Provenance] = {}
+    stage1 = partial.directions
+    tree: dict[str, Direction] = {}
     warnings: list[str] = []
 
     for subgraph in residual_subgraphs(grid, partial):
         entries, used_fallback = entry_points(subgraph, grid, snapshot, partial)
         if used_fallback:
             warnings.append(
-                f"no entry point found for subgraph starting at {subgraph.buses[0]}; "
+                f"no entry point found for subgraph starting at {subgraph[0]}; "
                 "falling back to its lowest-id bus"
             )
-        sub_dir, sub_prov = bfs_orient(grid, subgraph, entries, seed, partial.free_flow)
-        residual_dir.update(sub_dir)
-        residual_prov.update(sub_prov)
+        visited = set(entries)
+        queue = deque(entries)
+        while queue:
+            bus = queue.popleft()
+            for line_id, neighbor in grid.adjacency[bus]:
+                if line_id in stage1 or neighbor in visited:
+                    continue  # a stage-1 line, or its far end is in the tree already
+                line = grid.lines[line_id]
+                tree[line_id] = Direction.A_TO_B if bus == line.endpoint_a else Direction.B_TO_A
+                visited.add(neighbor)
+                queue.append(neighbor)
 
-    def assemble(stage1, stage2):
-        return MappingProxyType({l: stage1[l] if l in stage1 else stage2[l] for l in grid.lines})
-
+    # Keys first, in line order, so the two tables do not grow interleaved.
+    directions = dict.fromkeys(grid.lines)
+    provenance = dict.fromkeys(grid.lines)
+    for line_id in grid.lines:
+        if line_id in stage1:
+            directions[line_id] = stage1[line_id]
+            provenance[line_id] = partial.provenance[line_id]
+        elif line_id in tree:
+            directions[line_id] = tree[line_id]
+            provenance[line_id] = (
+                Provenance.SPECIAL_FREE_FLOW
+                if line_id in partial.free_flow
+                else Provenance.BFS_TREE
+            )
+        else:
+            directions[line_id] = (
+                Direction.A_TO_B if rng.coin(seed, line_id) else Direction.B_TO_A
+            )
+            provenance[line_id] = Provenance.RESIDUAL_RANDOM
     return Orientation(
-        directions=assemble(partial.directions, residual_dir),
-        provenance=assemble(partial.provenance, residual_prov),
+        directions=MappingProxyType(directions),
+        provenance=MappingProxyType(provenance),
         conflicts=partial.conflicts,
         warnings=tuple(warnings),
     )

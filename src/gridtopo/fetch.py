@@ -107,16 +107,23 @@ def fetch_dataset(manifest_path, cache_dir) -> list[Path]:
     """Materialize every manifest entry in the cache; return the paths.
 
     Entries already cached with the expected content are returned
-    without any network access.
+    without any network access. A file-system failure raises a
+    FetchError naming the path.
     """
     cache_dir = Path(cache_dir)
-    cache_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        cache_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise FetchError(f"cannot create cache directory {cache_dir}: {exc}") from exc
     paths = []
     for entry in parse_manifest(manifest_path):
         ext = Path(urlparse(entry.url).path).suffix or ".dat"
         target = cache_dir / f"{entry.name}-{entry.sha256[:16]}{ext}"
         if target.exists():
-            actual = _sha256_file(target)
+            try:
+                actual = _sha256_file(target)
+            except OSError as exc:
+                raise FetchError(f"cannot read cached {target}: {exc}") from exc
             if actual != entry.sha256:
                 raise HashMismatch(entry.name, entry.sha256, actual, f"cached {target}")
             paths.append(target)
@@ -126,7 +133,10 @@ def fetch_dataset(manifest_path, cache_dir) -> list[Path]:
         if actual != entry.sha256:
             raise HashMismatch(entry.name, entry.sha256, actual, "downloaded")
         tmp = target.with_suffix(target.suffix + ".part")
-        tmp.write_bytes(payload)
-        os.replace(tmp, target)
+        try:
+            tmp.write_bytes(payload)
+            os.replace(tmp, target)
+        except OSError as exc:
+            raise FetchError(f"cannot write {target}: {exc}") from exc
         paths.append(target)
     return paths

@@ -175,8 +175,12 @@ def test_criterion_6_orientation_totality_and_reachability():
         partial = apply_heuristics(grid, snapshot, seed_a)
         for subgraph in residual_subgraphs(grid, partial):
             entries, _ = entry_points(subgraph, grid, snapshot, partial)
-            member = set(subgraph.buses)
-            lines = set(subgraph.lines)
+            member = set(subgraph)
+            lines = {
+                line_id
+                for line_id, line in grid.lines.items()
+                if line_id not in partial.directions and line.endpoint_a in member
+            }
             reached = set(entries)
             frontier = list(entries)
             while frontier:

@@ -619,6 +619,19 @@ def test_fetch_via_file_urls(capsys, tmp_path):
     assert err.startswith("error: cannot read manifest")
 
 
+def test_fetch_into_a_regular_file_exits_1_without_traceback(capsys, tmp_path):
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text("# no datasets\n", encoding="utf-8")
+    blocker = tmp_path / "cache"
+    blocker.write_bytes(b"")
+    code, _out, err = run(
+        capsys, "fetch", "--manifest", str(manifest), "--cache-dir", str(blocker)
+    )
+    assert code == 1
+    assert err.startswith(f"error: cannot create cache directory {blocker}: ")
+    assert "Traceback" not in err
+
+
 def test_cli_import_does_not_load_numpy():
     src = str(Path(gridtopo.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)

@@ -8,9 +8,7 @@ import pytest
 from gridtopo.direction import (
     Direction,
     Provenance,
-    ResidualSubgraph,
     apply_heuristics,
-    bfs_orient,
     entry_points,
     orient_all,
     read_orientation_csv,
@@ -129,9 +127,7 @@ def test_no_residual_when_all_directed():
 def test_single_undirected_line_forms_subgraph():
     grid, snap = grid_with([("a", 138), ("b", 138)], [("l1", "a", "b", 138)])
     partial = apply_heuristics(grid, snap)
-    (sub,) = residual_subgraphs(grid, partial)
-    assert sub.buses == ("a", "b")
-    assert sub.lines == ("l1",)
+    assert residual_subgraphs(grid, partial) == (("a", "b"),)
 
 
 def test_undirected_path_collects_all_buses():
@@ -140,9 +136,7 @@ def test_undirected_path_collects_all_buses():
         [("l1", "a", "b", 138), ("l2", "b", "c", 138), ("l3", "c", "d", 138)],
     )
     partial = apply_heuristics(grid, snap)
-    (sub,) = residual_subgraphs(grid, partial)
-    assert sub.buses == ("a", "b", "c", "d")
-    assert sub.lines == ("l1", "l2", "l3")
+    assert residual_subgraphs(grid, partial) == (("a", "b", "c", "d"),)
 
 
 # --- entry points -------------------------------------------------------------
@@ -156,7 +150,7 @@ def test_entry_external_inflow_bus_in_uniform_subgraph():
     # l1 (240 -> 138) was directed; l2 remains, both ends 138 kV, no
     # generation, so only the stage-1 inflow into b qualifies.
     (sub,) = residual_subgraphs(grid, partial)
-    assert sub.lines == ("l2",)
+    assert sub == ("b", "c")
     entries, fallback = entry_points(sub, grid, snap, partial)
     assert entries == ("b",)
     assert not fallback
@@ -172,7 +166,7 @@ def test_entry_mixed_class_subgraph_uses_top_class():
     # Treat every line as residual so the subgraph mixes 240 and 138.
     empty = _all_residual(grid)
     (sub,) = residual_subgraphs(grid, empty)
-    assert sub.buses == ("a", "b", "c")
+    assert sub == ("a", "b", "c")
     entries, fallback = entry_points(sub, grid, snap, empty)
     assert entries == ("a",) and not fallback
 
@@ -221,47 +215,52 @@ def _all_residual(grid):
 
 
 def test_bfs_single_source_chain():
-    grid, _ = grid_with(
+    # No bus carries a signal, so the lowest-id bus a is the one entry.
+    grid, snap = grid_with(
         [("a", 138), ("b", 138), ("c", 138)],
         [("l1", "a", "b", 138), ("l2", "b", "c", 138)],
     )
-    (sub,) = residual_subgraphs(grid, _all_residual(grid))
-    directions, provenance = bfs_orient(grid, sub, ("a",))
-    assert directions == {"l1": Direction.A_TO_B, "l2": Direction.A_TO_B}
-    assert set(provenance.values()) == {Provenance.BFS_TREE}
+    orientation = orient_all(grid, snap)
+    assert orientation.warnings == (
+        "no entry point found for subgraph starting at a; falling back to its lowest-id bus",
+    )
+    assert dict(orientation.directions) == {"l1": Direction.A_TO_B, "l2": Direction.A_TO_B}
+    assert set(orientation.provenance.values()) == {Provenance.BFS_TREE}
 
 
 def test_bfs_triangle_cross_edge_randomized():
-    grid, _ = grid_with(
+    grid, snap = grid_with(
         [("a", 138), ("b", 138), ("c", 138)],
         [("l1", "a", "b", 138), ("l2", "a", "c", 138), ("l3", "b", "c", 138)],
     )
-    (sub,) = residual_subgraphs(grid, _all_residual(grid))
-    directions, provenance = bfs_orient(grid, sub, ("a",), seed=42)
-    assert directions["l1"] is Direction.A_TO_B
-    assert directions["l2"] is Direction.A_TO_B
-    assert provenance["l3"] is Provenance.RESIDUAL_RANDOM
-    seen = {bfs_orient(grid, sub, ("a",), seed=s)[0]["l3"] for s in range(24)}
+    orientation = orient_all(grid, snap, seed=42)  # entry a, the fallback
+    assert orientation.directions["l1"] is Direction.A_TO_B
+    assert orientation.directions["l2"] is Direction.A_TO_B
+    assert orientation.provenance["l3"] is Provenance.RESIDUAL_RANDOM
+    seen = {orient_all(grid, snap, seed=s).directions["l3"] for s in range(24)}
     assert seen == {Direction.A_TO_B, Direction.B_TO_A}
 
 
 def test_bfs_two_entries_meet_in_the_middle():
-    grid, _ = grid_with(
-        [("a", 138), ("b", 138), ("c", 138), ("d", 138)],
-        [("l1", "a", "b", 138), ("l2", "b", "c", 138), ("l3", "c", "d", 138)],
+    # x -> a and y -> d are stage-1 lines, so their heads a and d are the
+    # entries of the residual 138 kV chain a-b-c-d.
+    grid, snap = grid_with(
+        [("a", 138), ("b", 138), ("c", 138), ("d", 138), ("x", 240), ("y", 240)],
+        [
+            ("l1", "a", "b", 138),
+            ("l2", "b", "c", 138),
+            ("l3", "c", "d", 138),
+            ("lx", "x", "a", 240),
+            ("ly", "y", "d", 240),
+        ],
     )
-    (sub,) = residual_subgraphs(grid, _all_residual(grid))
-    directions, provenance = bfs_orient(grid, sub, ("a", "d"))
-    assert directions["l1"] is Direction.A_TO_B  # a -> b
-    assert directions["l3"] is Direction.B_TO_A  # d -> c
-    assert provenance["l2"] is Provenance.RESIDUAL_RANDOM
-
-
-def test_bfs_requires_entries():
-    grid, _ = grid_with([("a", 138), ("b", 138)], [("l1", "a", "b", 138)])
-    (sub,) = residual_subgraphs(grid, _all_residual(grid))
-    with pytest.raises(ValueError):
-        bfs_orient(grid, sub, ())
+    orientation = orient_all(grid, snap)
+    assert orientation.warnings == ()
+    assert orientation.directions["l1"] is Direction.A_TO_B  # a -> b
+    assert orientation.directions["l3"] is Direction.B_TO_A  # d -> c
+    assert orientation.provenance["l1"] is Provenance.BFS_TREE
+    assert orientation.provenance["l3"] is Provenance.BFS_TREE
+    assert orientation.provenance["l2"] is Provenance.RESIDUAL_RANDOM
 
 
 # --- full orientation -----------------------------------------------------------
@@ -352,8 +351,8 @@ def test_residual_reachability_from_entries():
         orientation = orient_all(grid, snap, seed)
         for sub in residual_subgraphs(grid, partial):
             entries, _ = entry_points(sub, grid, snap, partial)
-            member = set(sub.buses)
-            lines = set(sub.lines)
+            member = set(sub)
+            lines = _residual_lines(grid, partial, sub)
             reached = set(entries)
             frontier = list(entries)
             while frontier:
@@ -425,28 +424,37 @@ def _reference_residual_subgraphs(grid, partial):
         if start in seen:
             continue
         seen.add(start)
-        stack, buses, line_ids = [start], [], set()
+        stack, buses = [start], []
         while stack:
             bus = stack.pop()
             buses.append(bus)
-            for line_id, neighbor in incident[bus]:
-                line_ids.add(line_id)
+            for _line_id, neighbor in incident[bus]:
                 if neighbor not in seen:
                     seen.add(neighbor)
                     stack.append(neighbor)
-        subgraphs.append(ResidualSubgraph(tuple(sorted(buses)), tuple(sorted(line_ids))))
+        subgraphs.append(tuple(sorted(buses)))
     return tuple(subgraphs)
+
+
+def _residual_lines(grid, partial, subgraph):
+    """The lines of a residual subgraph: the undirected lines at its buses."""
+    member = set(subgraph)
+    return {
+        line_id
+        for line_id, line in grid.lines.items()
+        if line_id not in partial.directions and line.endpoint_a in member
+    }
 
 
 def _reference_entry_points(subgraph, grid, snapshot, partial):
     """The full-scan definition: every generator and every stage-1 line."""
-    classes = {bus: voltage_class(grid.buses[bus].voltage_kv) for bus in subgraph.buses}
+    classes = {bus: voltage_class(grid.buses[bus].voltage_kv) for bus in subgraph}
     top = max(classes.values())
     entries = set()
     if min(classes.values()) < top:
         entries.update(bus for bus, cls in classes.items() if cls == top)
-    entries.update(bus for bus in subgraph.buses if snapshot.outputs.get(bus, 0.0) > 0.0)
-    member = set(subgraph.buses)
+    entries.update(bus for bus in subgraph if snapshot.outputs.get(bus, 0.0) > 0.0)
+    member = set(subgraph)
     for line_id, direction in partial.directions.items():
         line = grid.lines[line_id]
         head = line.endpoint_b if direction is Direction.A_TO_B else line.endpoint_a
@@ -454,7 +462,7 @@ def _reference_entry_points(subgraph, grid, snapshot, partial):
             entries.add(head)
     if entries:
         return tuple(sorted(entries)), False
-    return (subgraph.buses[0],), True
+    return (subgraph[0],), True
 
 
 def _oracle_case(rng):
@@ -493,6 +501,9 @@ def test_residual_subgraphs_match_incident_map_reference():
         for partial in (apply_heuristics(grid, snap), _all_residual(grid)):
             expected = _reference_residual_subgraphs(grid, partial)
             assert residual_subgraphs(grid, partial) == expected
+            # The subgraphs' lines partition the undirected lines.
+            lines = [l for sub in expected for l in _residual_lines(grid, partial, sub)]
+            assert sorted(lines) == [l for l in sorted(grid.lines) if l not in partial.directions]
             subgraph_count += len(expected)
     assert subgraph_count > len(cases)
 
@@ -536,10 +547,10 @@ def test_entry_points_match_full_scan_reference():
             for snapshot in (snap, other):
                 expected = _reference_entry_points(sub, grid, snapshot, partial)
                 assert entry_points(sub, counted, snapshot, partial) == expected
-                generating = any(snapshot.outputs.get(b, 0.0) > 0.0 for b in sub.buses)
+                generating = any(snapshot.outputs.get(b, 0.0) > 0.0 for b in sub)
                 seen["generation" if generating else "no_generation"] += 1
                 seen["fallback"] += expected[1]
-            classes = {voltage_class(grid.buses[b].voltage_kv) for b in sub.buses}
+            classes = {voltage_class(grid.buses[b].voltage_kv) for b in sub}
             seen["uniform" if len(classes) == 1 else "mixed"] += 1
         assert rows.reads == 0
     assert all(count > 0 for count in seen.values()), seen

@@ -3,6 +3,7 @@ import hashlib
 import pytest
 
 from gridtopo.fetch import (
+    FetchError,
     HashMismatch,
     ManifestError,
     NetworkError,
@@ -110,3 +111,52 @@ def test_fetch_missing_source_is_network_error(tmp_path):
         fetch_dataset(manifest, tmp_path / "cache")
     assert err.value.dataset == "buses"
     assert err.value.retriable is True
+
+
+def test_fetch_names_a_cache_dir_it_cannot_create(tmp_path):
+    manifest = write_manifest(tmp_path, ["# nothing"])
+    blocker = tmp_path / "cache"
+    blocker.write_bytes(b"")
+    with pytest.raises(FetchError) as err:
+        fetch_dataset(manifest, blocker)
+    assert str(err.value).startswith(f"cannot create cache directory {blocker}: ")
+
+
+def test_fetch_names_a_cached_file_it_cannot_read(tmp_path, source):
+    src, payload = source
+    manifest = write_manifest(tmp_path, [f"buses {src.as_uri()} {sha(payload)}"])
+    cache = tmp_path / "cache"
+    target = cache / f"buses-{sha(payload)[:16]}.csv"
+    target.mkdir(parents=True)  # exists, but reading it fails
+    with pytest.raises(FetchError) as err:
+        fetch_dataset(manifest, cache)
+    assert str(err.value).startswith(f"cannot read cached {target}: ")
+
+
+def test_fetch_names_a_target_it_cannot_write(tmp_path, source):
+    src, payload = source
+    manifest = write_manifest(tmp_path, [f"buses {src.as_uri()} {sha(payload)}"])
+    cache = tmp_path / "cache"
+    target = cache / f"buses-{sha(payload)[:16]}.csv"
+    (cache / f"{target.name}.part").mkdir(parents=True)  # blocks the partial write
+    with pytest.raises(FetchError) as err:
+        fetch_dataset(manifest, cache)
+    assert str(err.value).startswith(f"cannot write {target}: ")
+    assert not target.exists()
+
+
+def test_fetch_names_a_target_it_cannot_rename_into_place(tmp_path, source, monkeypatch):
+    import gridtopo.fetch as fetch_mod
+
+    src, payload = source
+    manifest = write_manifest(tmp_path, [f"buses {src.as_uri()} {sha(payload)}"])
+    cache = tmp_path / "cache"
+    target = cache / f"buses-{sha(payload)[:16]}.csv"
+
+    def refuse(source_path, destination):
+        raise OSError(18, "Invalid cross-device link")
+
+    monkeypatch.setattr(fetch_mod.os, "replace", refuse)
+    with pytest.raises(FetchError) as err:
+        fetch_dataset(manifest, cache)
+    assert str(err.value) == f"cannot write {target}: [Errno 18] Invalid cross-device link"
