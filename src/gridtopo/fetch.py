@@ -63,7 +63,7 @@ class ManifestEntry:
 def parse_manifest(path) -> tuple[ManifestEntry, ...]:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ManifestError(f"cannot read manifest {path}: {exc}") from exc
     entries = []
     seen: set[str] = set()
@@ -80,6 +80,11 @@ def parse_manifest(path) -> tuple[ManifestEntry, ...]:
         digest = digest.lower()
         if len(digest) != 64 or any(c not in "0123456789abcdef" for c in digest):
             raise ManifestError(f"{path}: line {lineno}: bad sha256 digest {digest!r}")
+        try:
+            if not urlparse(url).scheme:
+                raise ValueError("no scheme")
+        except ValueError as exc:
+            raise ManifestError(f"{path}: line {lineno}: bad url {url!r}: {exc}") from None
         if name in seen:
             raise ManifestError(f"{path}: line {lineno}: duplicate dataset name {name}")
         seen.add(name)

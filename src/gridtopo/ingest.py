@@ -28,6 +28,9 @@ once, where its floats are parsed. Cross-file references (line
 endpoints, generator buses, load area ids) are checked at link time in
 :func:`build_dataset`, not at parse time.
 
+Both border files parse to :class:`Border` records, inputs only, as
+population points and area loads are: the GridDataset keeps no border.
+
 Within one parse, each distinct WKT point, border vertex and voltage is
 one object (hash-consing), found in a table local to the parse and keyed
 by value, which is exact for nonzero finite floats. A pair with a zero
@@ -42,7 +45,7 @@ import io
 import math
 import re
 from collections import defaultdict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import pairwise
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -134,7 +137,9 @@ class GeneratorRecord:
 
 
 @dataclass(frozen=True, slots=True)
-class CityPolygon:
+class Border:
+    """One shape of a border file: a planning area or a city."""
+
     id: str
     name: str
     boundary: PlanarPolygon
@@ -142,13 +147,12 @@ class CityPolygon:
 
 @dataclass(frozen=True, slots=True)
 class PlanningArea:
-    """Administrative region carrying an aggregate hourly load figure."""
+    """Administrative region: its hourly load and its border's population."""
 
     id: str
     name: str
-    boundary: PlanarPolygon
-    avg_hourly_load_mw: float = 0.0
-    population: int = 0
+    avg_hourly_load_mw: float
+    population: int
 
 
 @dataclass(frozen=True, slots=True)
@@ -170,15 +174,14 @@ class GridDataset:
     """Immutable canonical model of one ingested dataset.
 
     All collections are tuples sorted by id; every referential link is
-    guaranteed to resolve once :func:`build_dataset` has returned.
-    Instances are safe to share across concurrent readers.
+    guaranteed to resolve once :func:`build_dataset` has returned. No
+    border is kept. Instances are safe to share across concurrent readers.
     """
 
     buses: tuple[BusRecord, ...]
     lines: tuple[LineRecord, ...]
     generators: tuple[GeneratorRecord, ...]
     planning_areas: tuple[PlanningArea, ...]
-    city_polygons: tuple[CityPolygon, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -418,9 +421,10 @@ def parse_generators(path) -> list[GeneratorRecord]:
 _BORDER_COLUMNS = ("name", "ring_index", "vertex_index", "x", "y")
 
 
-def _parse_border_rows(path, id_column: str, make) -> list:
-    """Read one of the two border files into ``make(id, name, polygon)``
-    per shape, in file order.
+def _parse_border_rows(path, id_column: str) -> list[Border]:
+    """Read one of the two border files into one Border per shape, in
+    the order of each shape's first row. A ring's rows may come in any
+    order: ``vertex_index`` orders them, and gaps are allowed.
 
     A row's fields go through the ``int`` and ``float`` builtins in one
     step. Only a row that fails there (a field that is no number, an
@@ -428,9 +432,8 @@ def _parse_border_rows(path, id_column: str, make) -> list:
     the checked converters, one field at a time, which raise the error
     of its first fault; so every row is judged as by the checked chain
     alone, and a well-formed row costs no more than its conversions.
-    The shapes of one parse hold one ``(x, y)`` pair per distinct vertex
-    with no zero coordinate, so neighbouring shapes share their common
-    vertices, as :func:`parse_lines` shares WKT points.
+    Neighbouring shapes of one parse share their common vertices, as
+    :func:`parse_lines` shares WKT points.
     """
     # vertices[id] -> {ring_index: {vertex_index: (x, y)}}, ids in file order
     vertices: dict[str, dict[int, dict[int, Point]]] = defaultdict(lambda: defaultdict(dict))
@@ -470,17 +473,17 @@ def _parse_border_rows(path, id_column: str, make) -> list:
             polygon = PlanarPolygon(tuple(rings))
         except ValueError as exc:
             raise InvalidValue(f"{id_column} {shape_id}: {exc}", path=path) from None
-        shapes.append(make(shape_id, names[shape_id], polygon))
+        shapes.append(Border(shape_id, names[shape_id], polygon))
     return shapes
 
 
-def parse_planning_area_polygons(path) -> list[PlanningArea]:
-    """Parse PlanningAreaBorder.csv; loads and population are merged later."""
-    return _parse_border_rows(path, "area_id", PlanningArea)
+def parse_planning_area_polygons(path) -> list[Border]:
+    """Parse PlanningAreaBorder.csv into one Border per planning area."""
+    return _parse_border_rows(path, "area_id")
 
 
-def parse_city_polygons(path) -> list[CityPolygon]:
-    return _parse_border_rows(path, "city_id", CityPolygon)
+def parse_city_polygons(path) -> list[Border]:
+    return _parse_border_rows(path, "city_id")
 
 
 def _population_point(row) -> PopulationPoint:
@@ -586,7 +589,7 @@ def serialize_hourly_loads(records: Iterable[AreaLoad]) -> str:
     )
 
 
-def _serialize_borders(shapes: Iterable[PlanningArea | CityPolygon], id_column: str) -> str:
+def _serialize_borders(shapes: Iterable[Border], id_column: str) -> str:
     return _write_csv(
         (id_column, *_BORDER_COLUMNS),
         (
@@ -598,11 +601,11 @@ def _serialize_borders(shapes: Iterable[PlanningArea | CityPolygon], id_column: 
     )
 
 
-def serialize_planning_area_polygons(areas: Iterable[PlanningArea]) -> str:
+def serialize_planning_area_polygons(areas: Iterable[Border]) -> str:
     return _serialize_borders(areas, "area_id")
 
 
-def serialize_city_polygons(cities: Iterable[CityPolygon]) -> str:
+def serialize_city_polygons(cities: Iterable[Border]) -> str:
     return _serialize_borders(cities, "city_id")
 
 
@@ -626,7 +629,7 @@ def serialize_snapshot_outputs(outputs: Mapping[str, float]) -> str:
 # ---------------------------------------------------------------------------
 # Linking, region assignment, validation
 
-def _holding(point: Point, shapes: Sequence[PlanningArea | CityPolygon]) -> list:
+def _holding(point: Point, shapes: Sequence[Border]) -> list:
     """``(shape, locate(point, shape.boundary))`` for each of ``shapes``
     whose boundary holds ``point``, in order. Nearly every shape misses
     every point, so one whose bounding box misses it (inclusive, so a
@@ -640,9 +643,7 @@ def _holding(point: Point, shapes: Sequence[PlanningArea | CityPolygon]) -> list
     ]
 
 
-def _area_of(
-    point: Point, planning_areas: Sequence[PlanningArea], subject: str
-) -> PlanningArea | None:
+def _area_of(point: Point, planning_areas: Sequence[Border], subject: str) -> Border | None:
     """The planning area holding ``point``; None outside every area.
 
     A point on a border shared by several areas goes to the one that
@@ -663,8 +664,8 @@ def _area_of(
 
 def assign_regions(
     buses: Iterable[BusRecord],
-    planning_areas: Sequence[PlanningArea],
-    city_polygons: Sequence[CityPolygon],
+    planning_areas: Sequence[Border],
+    city_polygons: Sequence[Border],
 ) -> list[BusRecord]:
     """Annotate each bus with its planning area and urban flag.
 
@@ -686,7 +687,7 @@ def assign_regions(
 
 
 def aggregate_population(
-    points: Iterable[PopulationPoint], planning_areas: Sequence[PlanningArea]
+    points: Iterable[PopulationPoint], planning_areas: Sequence[Border]
 ) -> dict[str, int]:
     """Sum population points into their containing planning area."""
     totals = {area.id: 0 for area in planning_areas}
@@ -700,7 +701,7 @@ def aggregate_population(
 
 
 def link_area_loads(
-    area_loads: Iterable[AreaLoad], planning_areas: Iterable[PlanningArea], path=None
+    area_loads: Iterable[AreaLoad], planning_areas: Iterable[Border | PlanningArea], path=None
 ) -> dict[str, float]:
     """``{area_id: avg_hourly_load_mw}`` of ``area_loads``, read from
     ``path`` if given. An area id that names no planning area raises
@@ -733,9 +734,9 @@ def build_dataset(
     buses: Sequence[BusRecord],
     lines: Sequence[LineRecord],
     generators: Sequence[GeneratorRecord] = (),
-    planning_areas: Sequence[PlanningArea] = (),
+    planning_areas: Sequence[Border] = (),
     area_loads: Sequence[AreaLoad] = (),
-    city_polygons: Sequence[CityPolygon] = (),
+    city_polygons: Sequence[Border] = (),
     population_points: Sequence[PopulationPoint] = (),
 ) -> GridDataset:
     """Link, annotate, and freeze parsed records into a GridDataset.
@@ -761,23 +762,15 @@ def build_dataset(
     loads = link_area_loads(area_loads, areas)
 
     population = aggregate_population(population_points, areas)
-    merged_areas = tuple(
-        replace(
-            area,
-            avg_hourly_load_mw=loads.get(area.id, 0.0),
-            population=population.get(area.id, 0),
-        )
-        for area in areas
-    )
-    cities = _by_id("city", city_polygons)
-    annotated = assign_regions(buses, merged_areas, cities)
+    annotated = assign_regions(buses, areas, _by_id("city", city_polygons))
 
     return GridDataset(
         buses=_by_id("bus", annotated),
         lines=_by_id("line", lines),
         generators=_by_id("generator", generators),
-        planning_areas=merged_areas,
-        city_polygons=cities,
+        planning_areas=tuple(
+            PlanningArea(a.id, a.name, loads.get(a.id, 0.0), population[a.id]) for a in areas
+        ),
     )
 
 

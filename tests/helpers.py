@@ -15,8 +15,8 @@ from gridtopo.geometry import PlanarPolygon
 from gridtopo.graph import Grid, build_grid
 from gridtopo.ingest import (
     AreaLoad,
+    Border,
     BusRecord,
-    CityPolygon,
     GeneratorRecord,
     GridDataset,
     LineRecord,
@@ -27,8 +27,6 @@ from gridtopo.ingest import (
 
 FIXTURES = Path(__file__).parent / "fixtures"
 FIXTURE_NAMES = sorted(p.name for p in FIXTURES.iterdir() if p.is_dir())
-
-_DUMMY_RING = ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0))
 
 
 def write_latin1_substations(path, bad_row: int, newline: str = "\n", bom: bool = False) -> None:
@@ -49,10 +47,6 @@ def command_flags() -> dict[str, set[str]]:
         name: {s for a in sub._actions for s in a.option_strings} - {"-h", "--help"}
         for name, sub in commands.choices.items()
     }
-
-
-def dummy_polygon() -> PlanarPolygon:
-    return PlanarPolygon((_DUMMY_RING,))
 
 
 def toy_dataset(bus_specs, line_specs=(), gen_specs=(), area_specs=()) -> GridDataset:
@@ -83,21 +77,12 @@ def toy_dataset(bus_specs, line_specs=(), gen_specs=(), area_specs=()) -> GridDa
     areas = []
     for spec in area_specs:
         area_id, load, *rest = spec
-        areas.append(
-            PlanningArea(
-                area_id,
-                area_id,
-                dummy_polygon(),
-                float(load),
-                int(rest[0]) if rest else 0,
-            )
-        )
+        areas.append(PlanningArea(area_id, area_id, float(load), int(rest[0]) if rest else 0))
     return GridDataset(
         buses=tuple(sorted(buses, key=lambda b: b.id)),
         lines=tuple(sorted(lines, key=lambda l: l.id)),
         generators=tuple(sorted(gens, key=lambda g: g.id)),
         planning_areas=tuple(sorted(areas, key=lambda a: a.id)),
-        city_polygons=(),
     )
 
 
@@ -274,13 +259,13 @@ def planar_lattice_records(rng, rows, cols, areas_per_side=4, cities=10) -> dict
     xs = [cell * (j * cols // areas_per_side) for j in range(areas_per_side + 1)]
     ys = [cell * (i * rows // areas_per_side) for i in range(areas_per_side + 1)]
     planning_areas = [
-        PlanningArea(f"A{i}{j}", f"A{i}{j}", _square(xs[j], ys[i], xs[j + 1], ys[i + 1]))
+        Border(f"A{i}{j}", f"A{i}{j}", _square(xs[j], ys[i], xs[j + 1], ys[i + 1]))
         for i in range(areas_per_side)
         for j in range(areas_per_side)
     ]
     city_cells = rng.sample([(r, c) for r in range(rows) for c in range(cols)], cities)
     city_polygons = [
-        CityPolygon(f"C{n}", f"C{n}", _square(c * cell, r * cell, (c + 1) * cell, (r + 1) * cell))
+        Border(f"C{n}", f"C{n}", _square(c * cell, r * cell, (c + 1) * cell, (r + 1) * cell))
         for n, (r, c) in enumerate(city_cells)
     ]
     population_points = [

@@ -46,11 +46,23 @@ def test_parse_manifest_skips_comments(tmp_path):
         "too few",
         "name url " + "z" * 64,  # non-hex digest
         "name url abc",  # digest too short
+        "name example.org/a.csv " + "0" * 64,  # url without a scheme
+        "name http://[::1/a.csv " + "0" * 64,  # url urlparse rejects
     ],
 )
 def test_parse_manifest_rejects_malformed(tmp_path, line):
-    with pytest.raises(ManifestError):
-        parse_manifest(write_manifest(tmp_path, [line]))
+    manifest = write_manifest(tmp_path, ["# header", line])
+    with pytest.raises(ManifestError) as err:
+        parse_manifest(manifest)
+    assert str(err.value).startswith(f"{manifest}: line 2: ")
+
+
+def test_parse_manifest_names_a_manifest_that_is_not_utf8(tmp_path):
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_bytes("caf\u00e9 file:///x.csv ".encode("latin-1") + b"0" * 64 + b"\n")
+    with pytest.raises(ManifestError) as err:
+        parse_manifest(manifest)
+    assert str(err.value).startswith(f"cannot read manifest {manifest}: ")
 
 
 def test_parse_manifest_rejects_duplicates(tmp_path):

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -15,8 +16,8 @@ from gridtopo.direction import read_orientation_csv
 from gridtopo.geometry import INSIDE, PlanarPolygon, locate
 from gridtopo.ingest import (
     AreaLoad,
+    Border,
     BusRecord,
-    CityPolygon,
     DanglingReference,
     DuplicateId,
     GeneratorRecord,
@@ -419,7 +420,7 @@ def test_parse_border_rejects_non_finite_coordinate(tmp_path):
     assert str(err.value) == f"{path}: row 3: non-finite x: 'inf'"
 
 
-def _checked_border_rows(path, id_column, make):
+def _checked_border_rows(path, id_column):
     """The border parse with every field of every row through the checked
     converters, one at a time: the reference for ingest's one-step
     conversion of well-formed rows."""
@@ -448,13 +449,13 @@ def _checked_border_rows(path, id_column, make):
             polygon = PlanarPolygon(tuple(rings))
         except ValueError as exc:
             raise InvalidValue(f"{id_column} {shape_id}: {exc}", path=path) from None
-        shapes.append(make(shape_id, names[shape_id], polygon))
+        shapes.append(Border(shape_id, names[shape_id], polygon))
     return shapes
 
 
 _BORDER_PARSERS = {
-    "area_id": (parse_planning_area_polygons, PlanningArea),
-    "city_id": (parse_city_polygons, CityPolygon),
+    "area_id": parse_planning_area_polygons,
+    "city_id": parse_city_polygons,
 }
 # Fields that int() or float() read otherwise than a plain number, or refuse.
 _ODD_FIELDS = [" 3", "+3", "1_0", "-0", "0x10", "", "nan", "inf", "-inf", "1e999", "-1", "x"]
@@ -470,13 +471,12 @@ def _parse_outcome(parse, path):
 
 
 def _assert_border_parse_matches_checked_chain(tmp_path, id_column, rows):
-    parse, make = _BORDER_PARSERS[id_column]
     path = write(
         tmp_path, "Border.csv",
         "\n".join(",".join(row) for row in [[id_column, *_BORDER_COLUMNS], *rows]) + "\n",
     )
-    expected = _parse_outcome(lambda p: _checked_border_rows(p, id_column, make), path)
-    assert _parse_outcome(parse, path) == expected, rows
+    expected = _parse_outcome(lambda p: _checked_border_rows(p, id_column), path)
+    assert _parse_outcome(_BORDER_PARSERS[id_column], path) == expected, rows
 
 
 def _square_rows():
@@ -565,13 +565,12 @@ def test_border_parse_keeps_the_sign_of_a_zero_coordinate(tmp_path, id_column, o
         for n, text in enumerate(order)
         for k, xy in enumerate([text.split(), ["2", "1"], ["2", "2"]])
     ]
-    parse, make = _BORDER_PARSERS[id_column]
     path = write(
         tmp_path, "Border.csv",
         "\n".join(",".join(row) for row in [[id_column, *_BORDER_COLUMNS], *rows]) + "\n",
     )
-    shapes = parse(path)
-    assert repr(shapes) == repr(_checked_border_rows(path, id_column, make))
+    shapes = _BORDER_PARSERS[id_column](path)
+    assert repr(shapes) == repr(_checked_border_rows(path, id_column))
     assert [repr(s.boundary.rings[0][0]) for s in shapes] == [
         repr(_ZERO_PAIRS[text]) for text in order
     ]
@@ -704,8 +703,8 @@ REPEATED_RECORDS = {
     "bus": ("buses", _bus("S1", 3, 3), "S1"),
     "line": ("lines", LineRecord("L1", "S2", "S1", 240.0), "L1"),
     "generator": ("generators", GeneratorRecord("G1", "S2", 7.0, "GAS"), "G1"),
-    "planning area": ("planning_areas", PlanningArea("A2", "North", rect(0, 2, 2, 4)), "A2"),
-    "city": ("city_polygons", CityPolygon("C1", "Village", rect(3, 0, 4, 1)), "C1"),
+    "planning area": ("planning_areas", Border("A2", "North", rect(0, 2, 2, 4)), "A2"),
+    "city": ("city_polygons", Border("C1", "Village", rect(3, 0, 4, 1)), "C1"),
     "area load": ("area_loads", AreaLoad("A1", "West", 12.0), "A1"),
 }
 
@@ -717,11 +716,11 @@ def test_build_rejects_a_repeated_id(kind):
         "lines": [LineRecord("L1", "S1", "S2", 240.0)],
         "generators": [GeneratorRecord("G1", "S1", 5.0, "GAS")],
         "planning_areas": [
-            PlanningArea("A1", "West", rect(0, 0, 2, 2)),
-            PlanningArea("A2", "East", rect(2, 0, 4, 2)),
+            Border("A1", "West", rect(0, 0, 2, 2)),
+            Border("A2", "East", rect(2, 0, 4, 2)),
         ],
         "area_loads": [AreaLoad("A1", "West", 10.0)],
-        "city_polygons": [CityPolygon("C1", "Town", rect(0, 0, 1, 1))],
+        "city_polygons": [Border("C1", "Town", rect(0, 0, 1, 1))],
     }
     build_dataset(**records)
     field, repeat, repeated_id = REPEATED_RECORDS[kind]
@@ -734,7 +733,7 @@ def test_build_merges_loads_and_population():
     dataset = build_dataset(
         buses=[_bus("S1", 5, 5)],
         lines=[],
-        planning_areas=[PlanningArea("A1", "North", rect(0, 0, 10, 10))],
+        planning_areas=[Border("A1", "North", rect(0, 0, 10, 10))],
         area_loads=[AreaLoad("A1", "North", 42.0)],
         population_points=[
             PopulationPoint("C1", P(1.0, 1.0), 100),
@@ -742,16 +741,14 @@ def test_build_merges_loads_and_population():
             PopulationPoint("C1", P(99.0, 99.0), 7),  # outside: contributes nothing
         ],
     )
-    (area,) = dataset.planning_areas
-    assert area.avg_hourly_load_mw == 42.0
-    assert area.population == 150
+    assert dataset.planning_areas == (PlanningArea("A1", "North", 42.0, 150),)
 
 
 # --- region assignment -------------------------------------------------------
 
 def test_assign_regions_area_and_city():
-    areas = [PlanningArea("60", "Edmonton", rect(0, 0, 10, 10))]
-    cities = [CityPolygon("C1", "Edmonton", rect(2, 2, 6, 6))]
+    areas = [Border("60", "Edmonton", rect(0, 0, 10, 10))]
+    cities = [Border("C1", "Edmonton", rect(2, 2, 6, 6))]
     urban, rural, outside = assign_regions(
         [_bus("S1", 3, 3), _bus("S2", 8, 8), _bus("S3", 20, 20)], areas, cities
     )
@@ -762,8 +759,8 @@ def test_assign_regions_area_and_city():
 
 def test_assign_regions_rejects_overlap():
     areas = [
-        PlanningArea("A1", "A1", rect(0, 0, 10, 10)),
-        PlanningArea("A2", "A2", rect(5, 5, 15, 15)),
+        Border("A1", "A1", rect(0, 0, 10, 10)),
+        Border("A2", "A2", rect(5, 5, 15, 15)),
     ]
     with pytest.raises(OverlappingAreas):
         assign_regions([_bus("S1", 7, 7)], areas, [])
@@ -772,9 +769,9 @@ def test_assign_regions_rejects_overlap():
 # Unit squares A (0..1) and B (1..2) share the edge x = 1; C (0..1 above A)
 # shares A's top edge, so (1, 1) is a vertex of all three.
 SHARED_BORDER_AREAS = [
-    PlanningArea("B", "B", rect(1, 0, 2, 1)),
-    PlanningArea("A", "A", rect(0, 0, 1, 1)),
-    PlanningArea("C", "C", rect(0, 1, 1, 2)),
+    Border("B", "B", rect(1, 0, 2, 1)),
+    Border("A", "A", rect(0, 0, 1, 1)),
+    Border("C", "C", rect(0, 1, 1, 2)),
 ]
 
 
@@ -807,16 +804,16 @@ def test_population_on_shared_border_goes_to_lowest_area_id(x, y, expected):
 def test_assign_regions_strict_interior_beats_boundary():
     # (1, 0.5) lies on A's left edge but strictly inside the wider B.
     areas = [
-        PlanningArea("A", "A", rect(1, 0, 3, 1)),
-        PlanningArea("B", "B", rect(0, 0, 2, 1)),
+        Border("A", "A", rect(1, 0, 3, 1)),
+        Border("B", "B", rect(0, 0, 2, 1)),
     ]
     (bus,) = assign_regions([_bus("S1", 1.0, 0.5)], areas, [])
     assert bus.planning_area_id == "B"
 
 
 def test_assign_regions_is_order_independent():
-    areas = [PlanningArea("A1", "A1", rect(0, 0, 10, 10))]
-    cities = [CityPolygon("C1", "C1", rect(0, 0, 4, 4))]
+    areas = [Border("A1", "A1", rect(0, 0, 10, 10))]
+    cities = [Border("C1", "C1", rect(0, 0, 4, 4))]
     buses = [_bus(f"S{i}", i, i) for i in range(9)]
     expected = {b.id: (b.planning_area_id, b.is_urban) for b in assign_regions(buses, areas, cities)}
     shuffled = buses[:]
@@ -864,9 +861,9 @@ def _tiled_areas(draw):
     xs, ys = draw(_CUTS), draw(_CUTS)
     tiles = [(x0, y0, x1, y1) for x0, x1 in zip(xs, xs[1:]) for y0, y1 in zip(ys, ys[1:])]
     ids = draw(st.permutations(range(len(tiles))))
-    areas = [PlanningArea(f"A{i}", "", rect(*tile)) for i, tile in zip(ids, tiles)]
+    areas = [Border(f"A{i}", "", rect(*tile)) for i, tile in zip(ids, tiles)]
     free = draw(st.lists(_LATTICE_POLYGONS, max_size=2))
-    return areas + [PlanningArea(f"F{i}", "", polygon) for i, polygon in enumerate(free)]
+    return areas + [Border(f"F{i}", "", polygon) for i, polygon in enumerate(free)]
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -878,12 +875,12 @@ def _tiled_areas(draw):
 @example(
     # A/B/C share sides and the corner (1, 1); D lies over the A/B side,
     # so (1, 0.5) is strictly inside D alone and (0.75, 0.5) inside A and D.
-    areas=SHARED_BORDER_AREAS + [PlanningArea("D", "D", rect(0.5, 0.25, 1.5, 0.75))],
+    areas=SHARED_BORDER_AREAS + [Border("D", "D", rect(0.5, 0.25, 1.5, 0.75))],
     cities=[PlanarPolygon(((P(0, 0), P(2, 0), P(1, 2)),))],
     extra=[P(0.75, 0.5)],
 )
 def test_bbox_reject_matches_a_plain_locate_over_every_polygon(areas, cities, extra):
-    cities = [CityPolygon(f"K{i}", "", polygon) for i, polygon in enumerate(cities)]
+    cities = [Border(f"K{i}", "", polygon) for i, polygon in enumerate(cities)]
     polygons = [shape.boundary for shape in areas + cities]
     for n, point in enumerate(_probe_points(polygons) + extra):
         try:
@@ -916,7 +913,7 @@ def test_validate_flags_isolated_and_unassigned():
     dataset = build_dataset(
         buses=[_bus("S1", 1, 1), _bus("S2", 3, 3), _bus("S3", 50, 50)],
         lines=[LineRecord("L1", "S1", "S2", 240.0)],
-        planning_areas=[PlanningArea("A1", "A1", rect(0, 0, 10, 10))],
+        planning_areas=[Border("A1", "A1", rect(0, 0, 10, 10))],
     )
     report = validate_dataset(dataset)
     assert report.isolated_buses == ("S3",)
@@ -1008,11 +1005,11 @@ _GENERATED = {
     ),
     "planning-areas": (
         parse_planning_area_polygons, serialize_planning_area_polygons,
-        _records(st.builds(PlanningArea, _IDS, _TEXT, _POLYGONS)),
+        _records(st.builds(Border, _IDS, _TEXT, _POLYGONS)),
     ),
     "cities": (
         parse_city_polygons, serialize_city_polygons,
-        _records(st.builds(CityPolygon, _IDS, _TEXT, _POLYGONS)),
+        _records(st.builds(Border, _IDS, _TEXT, _POLYGONS)),
     ),
     "population": (
         parse_population_points, serialize_population_points,
@@ -1056,17 +1053,82 @@ def test_load_dataset_is_deterministic(fixture):
     assert load_dataset(FIXTURES / fixture) == load_dataset(FIXTURES / fixture)
 
 
+def _reachable(root) -> list:
+    """Every object reachable from ``root`` through the fields of
+    dataclasses and the items of tuples, lists and dicts, once each."""
+    seen, stack = {}, [root]
+    while stack:
+        value = stack.pop()
+        if id(value) in seen:
+            continue
+        seen[id(value)] = value
+        if dataclasses.is_dataclass(value):
+            stack += [getattr(value, f.name) for f in dataclasses.fields(value)]
+        elif isinstance(value, (tuple, list)):
+            stack += value
+        elif isinstance(value, dict):
+            stack += [*value, *value.values()]
+    return list(seen.values())
+
+
+def _ring_rows(shape_id, points):
+    return [f"{shape_id},{shape_id},0,{k},{x!r},{y!r}" for k, (x, y) in enumerate(points)]
+
+
+def test_loaded_dataset_holds_no_polygon(tmp_path):
+    # Two areas of 400 vertices share the side x = 10; a 300-gon city lies in A1.
+    side = [k / 10 for k in range(100)]
+    west = [(t, 0.0) for t in side] + [(10.0, t) for t in side]
+    west += [(10.0 - t, 10.0) for t in side] + [(0.0, 10.0 - t) for t in side]
+    east = [(x + 10.0, y) for x, y in west]
+    city = [
+        (5.0 + 3.0 * math.cos(2 * math.pi * k / 300), 5.0 + 3.0 * math.sin(2 * math.pi * k / 300))
+        for k in range(300)
+    ]
+    files = {
+        "Substation.csv": ["id,name,x,y,voltage_kv", "S1,S1,5.0,5.0,240", "S2,S2,15.0,5.0,138"],
+        "Line.csv": ["id,bus_a,bus_b,voltage_kv,wkt_geometry",
+                     'L1,S1,S2,138,"LINESTRING (5 5, 10 6, 15 5)"'],
+        "Generator.csv": ["id,bus_id,max_capacity_mw,fuel_type", "G1,S1,50,GAS"],
+        "PlanningAreaBorder.csv": [
+            "area_id,name,ring_index,vertex_index,x,y", *_ring_rows("A1", west),
+            *_ring_rows("A2", east),
+        ],
+        "CityBorder.csv": ["city_id,name,ring_index,vertex_index,x,y", *_ring_rows("C1", city)],
+        "CityPopulationPoint.csv": ["city_id,x,y,population", "C1,5.5,5.0,900"],
+        "HourlyLoad.csv": ["area_id,name,avg_hourly_load_mw", "A1,A1,12.5", "A2,A2,7.0"],
+    }
+    for name, rows in files.items():
+        write(tmp_path, name, "\n".join(rows) + "\n")
+    dataset = load_dataset(tmp_path)
+
+    reached = _reachable(dataset)
+    assert [v for v in reached if isinstance(v, PlanarPolygon)] == []
+    assert set(dataset.buses + dataset.planning_areas) <= set(reached)
+    regions = [(b.planning_area_id, b.is_urban) for b in dataset.buses]
+    assert regions == [("A1", True), ("A2", False)]
+    assert dataset.planning_areas == (
+        PlanningArea("A1", "A1", 12.5, 900), PlanningArea("A2", "A2", 7.0, 0),
+    )
+    # The same walk finds each border's polygon where the parsers return it.
+    borders = (
+        parse_planning_area_polygons(tmp_path / "PlanningAreaBorder.csv"),
+        parse_city_polygons(tmp_path / "CityBorder.csv"),
+    )
+    assert sum(isinstance(v, PlanarPolygon) for v in _reachable(borders)) == 3
+
+
 # sha256 of ``repr(load_dataset(fixture))``: every field of every record,
 # line geometry, names and area population totals included, which the
 # CLI's golden outputs do not all hold.
 RECORD_DIGESTS = {
-    "chain3": "5e522748bb13f914cff23625239b371fb669eaef731d08982cf262d9d0a0fcfb",
-    "diamond": "5309f2e28b49cf3228e61cd482cc44d85cc6c440ceae2d9edc532962b4db166f",
-    "grid30": "a739e6d41ec2339ad7a0c3c9337d8f6297a61907202cad2e047620af12a26dd9",
-    "ladder": "15859917865eac1138d9ce63e2d888a098f9704992f8ca337a58498f5801ccfd",
-    "mixed": "e3b748effd07d3d27ecd45265c6316590880ed173661ad35dfd200495cc26726",
-    "pair": "3ead8999199d96c14e3e1abcf29b8250293fa5d2e3edd90335838d646f11ae7f",
-    "triangle": "972de15ee20821f5d81fbdadbc7fb4c31e2f27639153e024e4d2ce3b8a053b66",
+    "chain3": "4c4470306f6d8f0dd75737fdcf1a5b9fc62365afa871865992c348c0c74c8eea",
+    "diamond": "1602733828906f5173db5fd4af3a666207203fb3e9e5ea9f78ea0c8cffea9363",
+    "grid30": "cfd9601a685105bcabfaf1097063b2afc324d7090fb40a666f57b6adc47bc789",
+    "ladder": "1e76c3e20e578b851bf972ac9290a9b7a644a59a24d5dfc4077660915f14830b",
+    "mixed": "787dd5f252611c0f60771235c1fe5f8e363c788376b83680a17f453223d855c2",
+    "pair": "65783a5bd550d97c8b609e050e38a3ba46eb3b1407cdfbee7e4a7de60cec2236",
+    "triangle": "af72a8dd750d056fd6dc8d1e66e9cc4ece9294f87d075d32646bdd5e0870b8bd",
 }
 
 

@@ -254,7 +254,8 @@ def test_one_parse_keeps_one_object_per_distinct_value(tmp_path):
     dataset = load_dataset(tmp_path)
 
     _assert_one_object_per_nonzero_pair([p for line in dataset.lines for p in line.geometry])
-    rings = [ring[:-1] for area in dataset.planning_areas for ring in area.boundary.rings]
+    areas = ingest.parse_planning_area_polygons(tmp_path / DATASET_FILES["planning_areas"])
+    rings = [ring[:-1] for area in areas for ring in area.boundary.rings]
     _assert_one_object_per_nonzero_pair([p for ring in rings for p in ring])
     for kind in (dataset.buses, dataset.lines):
         volts = [record.voltage_kv for record in kind]

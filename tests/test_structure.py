@@ -13,7 +13,9 @@ submodule, so a list of exports would only restate the module.
 
 Every module-level function and class, and every method, is named
 somewhere in the package, so no definition lives only for the tests.
-The few that stay for other callers are listed with their reason.
+The few that stay for other callers are listed with their reason. In
+the same way, every field of a package dataclass is read somewhere in
+the package, so no record carries data that nothing uses.
 
 At module level the test suites import only the standard library, the
 repository's own code and what the ``test`` extra installs, so ``pip
@@ -243,6 +245,65 @@ def test_dead_code_guard_flags_unnamed_definitions():
         "b.py": "used()\nC().called()\nx.prop\n",
     }
     assert unreferenced_definitions(sources) == ["a.py:unused", "a.py:C.dead", "a.py:Dead"]
+
+
+#: Dataclass fields no package code reads, each kept for a reader outside it.
+UNREAD_FIELDS = {
+    "dispatch.py:FlowSolution.iterations": "perfbench's dispatch.solver_work reads it",
+}
+
+
+def _is_dataclass(decorator: ast.expr) -> bool:
+    """``@dataclass``, ``@dataclass(...)`` or ``@dataclasses.dataclass...``."""
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    name = target.id if isinstance(target, ast.Name) else getattr(target, "attr", None)
+    return name == "dataclass"
+
+
+def unread_fields(sources: dict[str, str]) -> list[str]:
+    """``module:Class.field`` of each annotated field of a dataclass
+    whose name no attribute read (``x.field`` in a load) in ``sources``
+    carries. A store, a string or a keyword argument is not a read."""
+    fields, read = [], set()
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source, filename=module)):
+            if isinstance(node, ast.ClassDef) and any(map(_is_dataclass, node.decorator_list)):
+                fields += [
+                    (f"{module}:{node.name}.{item.target.id}", item.target.id)
+                    for item in node.body
+                    if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+                ]
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return [key for key, name in fields if name not in read]
+
+
+def test_every_dataclass_field_is_read_in_the_package():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    # Equality, so an entry goes once the package reads the field.
+    assert sorted(unread_fields(sources)) == sorted(UNREAD_FIELDS)
+
+
+def test_field_guard_flags_fields_no_attribute_reads():
+    sources = {
+        "a.py": (
+            "import dataclasses\n"
+            "from dataclasses import dataclass\n"
+            "@dataclass(frozen=True)\n"
+            "class R:\n"
+            "    read: int\n"
+            "    stored: int\n"
+            "    named: str = 'named'\n"
+            "@dataclasses.dataclass\n"
+            "class S:\n"
+            "    kept: int\n"
+            "    dropped: int\n"
+            "class Plain:\n"
+            "    unread: int\n"
+        ),
+        "b.py": "r.read\nr.stored = 1\nR(named=1)\ngetattr(s, 'dropped')\nprint(s.kept.x)\n",
+    }
+    assert unread_fields(sources) == ["a.py:R.stored", "a.py:R.named", "a.py:S.dropped"]
 
 
 def imported_packages(source: str, name: str) -> set[str]:
