@@ -115,13 +115,14 @@ def fetch_dataset(manifest_path, cache_dir) -> list[Path]:
     without any network access. A file-system failure raises a
     FetchError naming the path.
     """
+    entries = parse_manifest(manifest_path)  # a bad manifest creates no directory
     cache_dir = Path(cache_dir)
     try:
         cache_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise FetchError(f"cannot create cache directory {cache_dir}: {exc}") from exc
     paths = []
-    for entry in parse_manifest(manifest_path):
+    for entry in entries:
         ext = Path(urlparse(entry.url).path).suffix or ".dat"
         target = cache_dir / f"{entry.name}-{entry.sha256[:16]}{ext}"
         if target.exists():

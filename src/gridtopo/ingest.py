@@ -31,11 +31,14 @@ endpoints, generator buses, load area ids) are checked at link time in
 Both border files parse to :class:`Border` records, inputs only, as
 population points and area loads are: the GridDataset keeps no border.
 
-Within one parse, each distinct WKT point, border vertex and voltage is
+Within one load, each distinct WKT point, border vertex and voltage is
 one object (hash-consing), found in a table local to the parse and keyed
-by value, which is exact for nonzero finite floats. A pair with a zero
-coordinate is never shared: ``0.0 == -0.0``, so sharing could flip its
-sign and change a record's ``repr``.
+by value, which is exact for nonzero finite floats. The line parse of
+:func:`load_dataset` starts its tables from the buses just parsed, so a
+line end is its bus's own ``id`` string and a WKT point at a substation
+is that bus's own ``location``. A pair with a zero coordinate is never
+looked up in a table, so never shared, because ``0.0 == -0.0`` and
+sharing could flip its sign and change a record's ``repr``.
 """
 
 from __future__ import annotations
@@ -374,16 +377,23 @@ def parse_buses(path) -> list[BusRecord]:
     return _read_rows(path, ("id", "name", "x", "y", "voltage_kv"), bus, kind="bus")
 
 
-def parse_lines(path) -> list[LineRecord]:
+def parse_lines(path, buses: Sequence[BusRecord] = ()) -> list[LineRecord]:
     """Parse Line.csv. The lines of one parse hold one object per
     distinct value of three kinds: one ``str`` for a bus id, not one per
     line end; one float per voltage; and one ``(x, y)`` pair per WKT point
     with no zero coordinate, so the line ends that meet at a substation
     share its point. A pair with a zero coordinate is kept as parsed,
-    because ``(0.0, y) == (-0.0, y)`` and sharing would change its sign."""
-    endpoints: dict[str, str] = {}
+    because ``(0.0, y) == (-0.0, y)`` and sharing would change its sign.
+
+    ``buses`` are records as :func:`parse_buses` returns them, whose
+    objects the lines reuse: a line end equal to a bus's ``id`` is that
+    string, and a WKT point with no zero coordinate equal to a bus's
+    ``location`` is that tuple. As their locations are pairs of floats,
+    they change no value; an end that names none of them is still a line
+    end, left for :func:`build_dataset` to reject."""
+    endpoints: dict[str, str] = {b.id: b.id for b in buses}
     volts: dict[float, float] = {}
-    points: dict[Point, Point] = {}
+    points: dict[Point, Point] = {b.location: b.location for b in buses}
 
     def line(row) -> LineRecord:
         bus_a = _require_id(row[1], "bus_a")
@@ -863,9 +873,10 @@ def load_dataset(data_dir) -> GridDataset:
         raise IngestError(
             f"missing dataset file(s) in {data_dir}: " + ", ".join(sorted(missing))
         )
+    buses = parse_buses(paths["buses"])
     return build_dataset(
-        buses=parse_buses(paths["buses"]),
-        lines=parse_lines(paths["lines"]),
+        buses=buses,
+        lines=parse_lines(paths["lines"], buses),
         generators=parse_generators(paths["generators"]),
         planning_areas=parse_planning_area_polygons(paths["planning_areas"]),
         area_loads=parse_hourly_loads(paths["hourly_loads"]),

@@ -125,6 +125,14 @@ def test_fetch_missing_source_is_network_error(tmp_path):
     assert err.value.retriable is True
 
 
+def test_fetch_with_a_malformed_manifest_creates_no_cache_dir(tmp_path):
+    manifest = write_manifest(tmp_path, ["name example.org/a.csv " + "0" * 64])
+    cache = tmp_path / "new" / "cache"
+    with pytest.raises(ManifestError):
+        fetch_dataset(manifest, cache)
+    assert not (tmp_path / "new").exists()
+
+
 def test_fetch_names_a_cache_dir_it_cannot_create(tmp_path):
     manifest = write_manifest(tmp_path, ["# nothing"])
     blocker = tmp_path / "cache"

@@ -556,6 +556,29 @@ def test_parse_lines_keeps_the_sign_of_a_zero_coordinate(tmp_path, order):
     _assert_shared_but_for_zeros([p for line in lines for p in line.geometry])
 
 
+def test_parse_lines_takes_no_bus_location_with_a_zero_coordinate(tmp_path):
+    # Each of S0 and S1 sits at the other's WKT end but for the sign of a
+    # zero; the lines keep their own pairs, yet take every bus's id and
+    # the tuple of S9, which has no zero coordinate.
+    buses = [
+        BusRecord("S0", "S0", (0.0, 1.0), 240.0),
+        BusRecord("S1", "S1", (-0.0, 1.0), 240.0),
+        BusRecord("S9", "S9", (2.0, 2.0), 240.0),
+    ]
+    rows = ['L0,S0,S9,240,"LINESTRING (-0.0 1, 2 2)"', 'L1,S1,S9,240,"LINESTRING (0 1, 2 2)"']
+    path = write(
+        tmp_path, "Line.csv", "\n".join(["id,bus_a,bus_b,voltage_kv,wkt_geometry", *rows]) + "\n"
+    )
+    lines = parse_lines(path, buses)
+    assert repr(lines) == repr(_unshared_lines(path))
+    bus = {b.id: b for b in buses}
+    for line in lines:
+        assert line.endpoint_a is bus[line.endpoint_a].id
+        assert line.endpoint_b is bus["S9"].id
+        assert line.geometry[-1] is bus["S9"].location
+        assert all(line.geometry[0] is not b.location for b in buses)
+
+
 @pytest.mark.parametrize("id_column", sorted(_BORDER_PARSERS))
 @pytest.mark.parametrize("order", _ZERO_ORDERS, ids="|".join)
 def test_border_parse_keeps_the_sign_of_a_zero_coordinate(tmp_path, id_column, order):

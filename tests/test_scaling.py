@@ -1,8 +1,9 @@
 """Scaling guards: ingest-to-orientation work, CSV loading and the
 solve chain must grow about linearly, region assignment walks about one
 polygon per point, a paper-scale solve through the CLI stays fast, the
-solve chain's heap peak grows about linearly under a pinned bound, and
-one parse keeps one object per distinct value."""
+solve chain's heap peak grows about linearly under a pinned bound, one
+parse keeps one object per distinct value, and one load hands its lines
+the buses' own ids and locations."""
 
 import dataclasses
 import gc
@@ -29,7 +30,13 @@ from gridtopo.geometry import locate
 from gridtopo.graph import build_grid
 from gridtopo.ingest import DATASET_FILES, AreaLoad, build_dataset, load_dataset
 
-from helpers import lattice_dataset, lattice_records, planar_lattice_records
+from helpers import (
+    FIXTURE_NAMES,
+    FIXTURES,
+    lattice_dataset,
+    lattice_records,
+    planar_lattice_records,
+)
 
 
 def _cpu_seconds(work, arg) -> float:
@@ -224,7 +231,7 @@ def chain_peaks_per_element(work_dir) -> tuple[float, float]:
 #: minor version: the value measured with 3.10.13 and 3.11.7, plus a 5%
 #: margin for patch releases. A change may lower a pin, never raise it;
 #: only a change of the gate's grid re-pins it.
-CHAIN_PEAK_PER_ELEMENT = {(3, 10): 745, (3, 11): 680}
+CHAIN_PEAK_PER_ELEMENT = {(3, 10): 672, (3, 11): 607}
 
 
 def test_solve_chain_heap_is_about_linear_and_under_the_pin(tmp_path):
@@ -269,3 +276,50 @@ def test_one_parse_keeps_one_object_per_distinct_value(tmp_path):
                 assert p is theirs[p]
                 common += 1
     assert common
+
+
+def test_one_load_reuses_each_bus_id_and_location_in_its_lines(tmp_path):
+    records = lattice_records(random.Random(5), 25, 25)
+    records["lines"] = _drawn_lines(records)
+    _write_dataset(records, tmp_path)
+    dataset = load_dataset(tmp_path)
+
+    ids = {bus.id: bus.id for bus in dataset.buses}
+    locations = {bus.location: bus.location for bus in dataset.buses}
+    assert len(locations) == len(dataset.buses), "two buses share a location"
+    at_buses, zeros = 0, []
+    for line in dataset.lines:
+        assert line.endpoint_a is ids[line.endpoint_a]
+        assert line.endpoint_b is ids[line.endpoint_b]
+        for p in line.geometry:
+            if not (p[0] and p[1]):
+                zeros.append(p)
+            elif p in locations:
+                assert p is locations[p]
+                at_buses += 1
+    assert at_buses >= 2 * len(dataset.lines)
+    # a pair with a zero coordinate is its own object at each occurrence
+    assert len(set(zeros)) < len(zeros), "no zero pair repeats, so the gate cannot see one shared"
+    assert len({id(p) for p in zeros}) == len(zeros)
+
+
+def _load_without_shared_buses(data_dir):
+    """``load_dataset(data_dir)``, but with the lines parsed on their own."""
+    paths = {key: Path(data_dir) / name for key, name in DATASET_FILES.items()}
+    return build_dataset(
+        buses=ingest.parse_buses(paths["buses"]),
+        lines=ingest.parse_lines(paths["lines"]),
+        generators=ingest.parse_generators(paths["generators"]),
+        planning_areas=ingest.parse_planning_area_polygons(paths["planning_areas"]),
+        area_loads=ingest.parse_hourly_loads(paths["hourly_loads"]),
+        city_polygons=ingest.parse_city_polygons(paths["cities"]),
+        population_points=ingest.parse_population_points(paths["population"]),
+    )
+
+
+def test_load_dataset_reads_as_the_lines_parsed_without_buses(tmp_path):
+    records = lattice_records(random.Random(5), 25, 25)
+    records["lines"] = _drawn_lines(records)
+    _write_dataset(records, tmp_path)
+    for data_dir in [tmp_path, *(FIXTURES / name for name in FIXTURE_NAMES)]:
+        assert repr(load_dataset(data_dir)) == repr(_load_without_shared_buses(data_dir)), data_dir
