@@ -183,8 +183,9 @@ def residual_subgraphs(grid: Grid, partial: PartialOrientation) -> tuple[tuple[s
         while stack:
             bus = stack.pop()
             buses.append(bus)
-            for incident_id, neighbor in grid.adjacency[bus]:
-                if incident_id not in directed and neighbor not in seen:
+            for line in grid.adjacency[bus]:
+                neighbor = line.endpoint_b if line.endpoint_a == bus else line.endpoint_a
+                if line.id not in directed and neighbor not in seen:
                     seen.add(neighbor)
                     stack.append(neighbor)
         subgraphs.append(tuple(sorted(buses)))
@@ -246,11 +247,12 @@ def orient_all(
         queue = deque(entries)
         while queue:
             bus = queue.popleft()
-            for line_id, neighbor in grid.adjacency[bus]:
-                if line_id in stage1 or neighbor in visited:
+            for line in grid.adjacency[bus]:
+                forward = bus == line.endpoint_a
+                neighbor = line.endpoint_b if forward else line.endpoint_a
+                if line.id in stage1 or neighbor in visited:
                     continue  # a stage-1 line, or its far end is in the tree already
-                line = grid.lines[line_id]
-                tree[line_id] = Direction.A_TO_B if bus == line.endpoint_a else Direction.B_TO_A
+                tree[line.id] = Direction.A_TO_B if forward else Direction.B_TO_A
                 visited.add(neighbor)
                 queue.append(neighbor)
 

@@ -130,10 +130,11 @@ def reachable_buses(
     stack = [source_bus]
     while stack:
         bus = stack.pop()
-        for line_id, neighbor in grid.adjacency[bus]:
-            if neighbor not in parents and orientation.from_to(grid.lines[line_id])[0] == bus:
-                parents[neighbor] = line_id
-                stack.append(neighbor)
+        for line in grid.adjacency[bus]:
+            frm, to = orientation.from_to(line)
+            if frm == bus and to not in parents:
+                parents[to] = line.id
+                stack.append(to)
     return parents
 
 
@@ -241,9 +242,10 @@ def _max_flow(grid, tails, caps, loads) -> tuple[dict, dict, dict, int]:
         parents = {bus: None for bus, room in spare.items() if room > 0.0}
         order = list(parents)
         for bus in order:
-            for line_id, neighbor in grid.adjacency[bus]:
-                if neighbor not in parents and (tails[line_id] == bus or flows[line_id] > 0.0):
-                    parents[neighbor] = (line_id, bus)
+            for line in grid.adjacency[bus]:
+                neighbor = line.endpoint_b if line.endpoint_a == bus else line.endpoint_a
+                if neighbor not in parents and (tails[line.id] == bus or flows[line.id] > 0.0):
+                    parents[neighbor] = (line.id, bus)
                     order.append(neighbor)
         sinks = [bus for bus in order if unmet[bus] > 0.0]
         if not sinks:
@@ -315,8 +317,8 @@ def solve_flow_lp(
     residual = 0.0
     for bus, incident in grid.adjacency.items():
         balance = injections[bus] - loads[bus] + mismatch[bus]
-        for line_id, _neighbor in incident:
-            balance += -flows[line_id] if tails[line_id] == bus else flows[line_id]
+        for line in incident:
+            balance += -flows[line.id] if tails[line.id] == bus else flows[line.id]
         residual = max(residual, abs(balance))
 
     return FlowSolution(

@@ -1,9 +1,11 @@
 """Undirected multigraph over buses and lines, and the voltage-class rule.
 
 Parallel circuits between the same pair of buses are kept as distinct
-edges; collapsing them would corrupt flow totals downstream. The grid
-is topology only: generation belongs to a scenario
-(``dispatch.GenerationSnapshot``), and one grid serves several.
+edges; collapsing them would corrupt flow totals downstream. A bus's
+adjacency row holds its lines' own records, so each line is one object
+however many walks read it. The grid is topology only: generation
+belongs to a scenario (``dispatch.GenerationSnapshot``), and one grid
+serves several.
 """
 
 from __future__ import annotations
@@ -31,30 +33,36 @@ def voltage_class(kv: float) -> float:
 @dataclass(frozen=True)
 class Grid:
     """Immutable adjacency view of a GridDataset: ``buses`` and ``lines``
-    map ids to their records, and ``adjacency[bus]`` lists ``(line_id,
-    neighbor_bus)`` pairs sorted by (neighbor, line id), every line once
-    per endpoint. All three mappings iterate in id order.
+    map ids to their records, and ``adjacency[bus]`` lists the bus's own
+    ``LineRecord``s, the objects in ``lines``, sorted by (the other
+    endpoint, line id), every line once per endpoint. All three mappings
+    iterate in id order.
     """
 
     buses: Mapping[str, BusRecord]
     lines: Mapping[str, LineRecord]
-    adjacency: Mapping[str, tuple[tuple[str, str], ...]]
+    adjacency: Mapping[str, tuple[LineRecord, ...]]
 
 
 def build_grid(dataset: GridDataset) -> Grid:
     """Index ``dataset``'s buses and lines; its tuples are already sorted
-    by id, so each mapping is built once, in that order."""
-    adjacency: dict[str, list[tuple[str, str]]] = {b.id: [] for b in dataset.buses}
+    by id, so each mapping is built once, in that order, and a stable
+    sort of a bus's lines by their other endpoint keeps ids in order."""
+    adjacency: dict[str, list[LineRecord]] = {b.id: [] for b in dataset.buses}
     for line in dataset.lines:
-        adjacency[line.endpoint_a].append((line.id, line.endpoint_b))
-        adjacency[line.endpoint_b].append((line.id, line.endpoint_a))
+        adjacency[line.endpoint_a].append(line)
+        adjacency[line.endpoint_b].append(line)
     return Grid(
         buses=MappingProxyType({b.id: b for b in dataset.buses}),
         lines=MappingProxyType({l.id: l for l in dataset.lines}),
         adjacency=MappingProxyType(
             {
-                bus: tuple(sorted(pairs, key=lambda p: (p[1], p[0])))
-                for bus, pairs in adjacency.items()
+                bus: tuple(
+                    sorted(
+                        lines, key=lambda l: l.endpoint_b if l.endpoint_a == bus else l.endpoint_a
+                    )
+                )
+                for bus, lines in adjacency.items()
             }
         ),
     )

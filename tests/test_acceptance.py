@@ -185,13 +185,11 @@ def test_criterion_6_orientation_totality_and_reachability():
             frontier = list(entries)
             while frontier:
                 bus = frontier.pop()
-                for line_id, neighbor in grid.adjacency[bus]:
-                    if line_id not in lines or neighbor in reached:
-                        continue
-                    frm, _to = orientation.from_to(grid.lines[line_id])
-                    if frm == bus:
-                        reached.add(neighbor)
-                        frontier.append(neighbor)
+                for line in grid.adjacency[bus]:
+                    frm, to = orientation.from_to(line)
+                    if line.id in lines and frm == bus and to not in reached:
+                        reached.add(to)
+                        frontier.append(to)
             assert reached == member, trial
     ok("6", "500 random graphs: total, reachable, heuristics seed-invariant")
 

@@ -357,13 +357,11 @@ def test_residual_reachability_from_entries():
             frontier = list(entries)
             while frontier:
                 bus = frontier.pop()
-                for line_id, neighbor in grid.adjacency[bus]:
-                    if line_id not in lines or neighbor in reached:
-                        continue
-                    frm, _ = orientation.from_to(grid.lines[line_id])
-                    if frm == bus:
-                        reached.add(neighbor)
-                        frontier.append(neighbor)
+                for line in grid.adjacency[bus]:
+                    frm, to = orientation.from_to(line)
+                    if line.id in lines and frm == bus and to not in reached:
+                        reached.add(to)
+                        frontier.append(to)
             assert reached == member
 
 

@@ -76,12 +76,13 @@ def bfs_orient(
     queue = deque(sorted(entries))
     while queue:
         bus = queue.popleft()
-        for line_id, neighbor in grid.adjacency[bus]:
+        for line in grid.adjacency[bus]:
+            line_id = line.id
+            neighbor = line.endpoint_b if line.endpoint_a == bus else line.endpoint_a
             if line_id not in remaining:
                 continue  # directed already, by a heuristic or as a tree edge
             if neighbor in visited:
                 continue  # non-tree edge; randomized below
-            line = grid.lines[line_id]
             directions[line_id] = (
                 Direction.A_TO_B if bus == line.endpoint_a else Direction.B_TO_A
             )
