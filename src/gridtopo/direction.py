@@ -85,7 +85,7 @@ class Orientation:
         return line.endpoint_b, line.endpoint_a
 
     def endpoint_map(self, grid: Grid) -> dict[str, tuple[str, str]]:
-        return {line_id: self.from_to(grid.lines[line_id]) for line_id in self.directions}
+        return {line_id: self.from_to(line) for line_id, line in grid.lines.items()}
 
     @property
     def heuristic_count(self) -> int:
@@ -230,13 +230,18 @@ def entry_points(
 def orient_all(
     grid: Grid, snapshot: "GenerationSnapshot", seed: int = DEFAULT_SEED
 ) -> Orientation:
-    """Run both stages; each map is assembled once, in line-id order."""
+    """Run both stages into two maps keyed once, in line order: stage 1's decisions,
+    then stage 2's BFS trees as they grow, then a seeded coin for each line left."""
     partial = apply_heuristics(grid, snapshot, seed)
-    stage1 = partial.directions
-    tree: dict[str, Direction] = {}
+    # Walked before the maps are keyed, so its bus set is freed before they are allocated.
+    subgraphs = residual_subgraphs(grid, partial)
+    directions = dict.fromkeys(grid.lines)
+    provenance = dict.fromkeys(grid.lines)
+    directions.update(partial.directions)
+    provenance.update(partial.provenance)
     warnings: list[str] = []
 
-    for subgraph in residual_subgraphs(grid, partial):
+    for subgraph in subgraphs:
         entries, used_fallback = entry_points(subgraph, grid, snapshot, partial)
         if used_fallback:
             warnings.append(
@@ -250,27 +255,19 @@ def orient_all(
             for line in grid.adjacency[bus]:
                 forward = bus == line.endpoint_a
                 neighbor = line.endpoint_b if forward else line.endpoint_a
-                if line.id in stage1 or neighbor in visited:
-                    continue  # a stage-1 line, or its far end is in the tree already
-                tree[line.id] = Direction.A_TO_B if forward else Direction.B_TO_A
+                if directions[line.id] is not None or neighbor in visited:
+                    continue  # directed already, or its far end is in the tree already
+                directions[line.id] = Direction.A_TO_B if forward else Direction.B_TO_A
+                provenance[line.id] = (
+                    Provenance.SPECIAL_FREE_FLOW
+                    if line.id in partial.free_flow
+                    else Provenance.BFS_TREE
+                )
                 visited.add(neighbor)
                 queue.append(neighbor)
 
-    # Keys first, in line order, so the two tables do not grow interleaved.
-    directions = dict.fromkeys(grid.lines)
-    provenance = dict.fromkeys(grid.lines)
-    for line_id in grid.lines:
-        if line_id in stage1:
-            directions[line_id] = stage1[line_id]
-            provenance[line_id] = partial.provenance[line_id]
-        elif line_id in tree:
-            directions[line_id] = tree[line_id]
-            provenance[line_id] = (
-                Provenance.SPECIAL_FREE_FLOW
-                if line_id in partial.free_flow
-                else Provenance.BFS_TREE
-            )
-        else:
+    for line_id, direction in directions.items():
+        if direction is None:
             directions[line_id] = (
                 Direction.A_TO_B if rng.coin(seed, line_id) else Direction.B_TO_A
             )

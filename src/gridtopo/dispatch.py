@@ -4,9 +4,10 @@ A generation scenario is output per bus: each generator's output,
 either its maximum capacity (the baseline) or the value a Snapshot.csv
 time point reports, is summed into its bus once, when the snapshot is
 made; stages read it as ``outputs.get(bus, 0.0)``. Each generation
-bus's output is attributed over the buses it can reach under the line
-orientation, proportionally to the demand index; the LP then finds
-line flows and injections that balance those bus loads.
+bus's output is attributed over the buses it reaches under the line
+orientation, proportionally to the demand index, and routed back up
+the ``LineRecord`` that first reached each bus; the LP then finds line
+flows and injections that balance those bus loads.
 
 LP formulation, per bus i (sets follow the orientation):
 
@@ -40,7 +41,7 @@ from typing import Mapping
 from .demand import DemandIndex
 from .direction import Orientation
 from .graph import Grid
-from .ingest import GridDataset, parse_snapshot_outputs, write_csv, write_text
+from .ingest import GridDataset, LineRecord, parse_snapshot_outputs, write_csv, write_text
 
 MODE_MAX_CAPACITY = "max"
 MODE_TIME_POINT = "timepoint"
@@ -122,18 +123,19 @@ class BusLoad:
 
 def reachable_buses(
     orientation: Orientation, grid: Grid, source_bus: str
-) -> dict[str, str | None]:
+) -> dict[str, LineRecord | None]:
     """Directed reachability walk from ``source_bus``: each reached bus,
-    in discovery order, maps to the line that first reached it (``None``
-    for ``source_bus``)."""
-    parents: dict[str, str | None] = {source_bus: None}
+    in discovery order, maps to the ``LineRecord`` of ``grid.lines``
+    that first reached it (``None`` for ``source_bus``). Only a step to
+    a bus not yet reached asks the orientation which way its line points."""
+    parents: dict[str, LineRecord | None] = {source_bus: None}
     stack = [source_bus]
     while stack:
         bus = stack.pop()
         for line in grid.adjacency[bus]:
-            frm, to = orientation.from_to(line)
-            if frm == bus and to not in parents:
-                parents[to] = line.id
+            to = line.endpoint_b if line.endpoint_a == bus else line.endpoint_a
+            if to not in parents and orientation.from_to(line)[0] == bus:
+                parents[to] = line
                 stack.append(to)
     return parents
 
@@ -174,11 +176,11 @@ def estimate_bus_load(
             below[member] = weight * output
             loads[member] += below[member]
         # Reverse discovery order visits a bus after every bus below it.
-        for member in reversed(parents):
-            line_id = parents[member]
-            if line_id is not None:
-                routing[line_id] = routing.get(line_id, 0.0) + below[member]
-                below[orientation.from_to(grid.lines[line_id])[0]] += below[member]
+        for member, line in reversed(parents.items()):
+            if line is not None:
+                routing[line.id] = routing.get(line.id, 0.0) + below[member]
+                parent = line.endpoint_a if line.endpoint_b == member else line.endpoint_b
+                below[parent] += below[member]
     return BusLoad(
         values=MappingProxyType(loads),
         warnings=tuple(warnings),

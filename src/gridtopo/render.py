@@ -10,7 +10,6 @@ SVG is a flat projection of the same features with the same colors.
 
 from __future__ import annotations
 
-import json
 from typing import Mapping
 
 from .direction import Orientation
@@ -101,6 +100,8 @@ def render_geojson(
 
 
 def geojson_text(document: dict) -> str:
+    import json  # imported here: only ``render --format geojson`` needs it
+
     return json.dumps(document, indent=2) + "\n"
 
 

@@ -635,7 +635,7 @@ def test_fetch_into_a_regular_file_exits_1_without_traceback(capsys, tmp_path):
 def test_cli_import_does_not_load_numpy():
     src = str(Path(gridtopo.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    heavy = ("numpy", "gridtopo.fetch", "urllib.request")
+    heavy = ("numpy", "gridtopo.fetch", "urllib.request", "json")
     code = f"import sys, gridtopo.cli; sys.exit(any(m in sys.modules for m in {heavy!r}))"
     result = subprocess.run([sys.executable, "-c", code], env=env, timeout=60)
     assert result.returncode == 0

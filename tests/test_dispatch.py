@@ -36,6 +36,7 @@ from helpers import (
     lattice_dataset,
     lp_case,
     oracle_lp_objective,
+    random_connected_dataset,
     random_lp_instance,
     toy_dataset,
 )
@@ -186,13 +187,55 @@ def test_reach_walk_records_the_line_that_first_reached_each_bus():
     )
     parents = reachable_buses(orientation, grid, "a")
     assert parents["a"] is None
-    assert parents["b"] == "l1" and parents["c"] == "l2"
-    assert parents["d"] in ("l3", "l4")
+    assert parents["b"] is grid.lines["l1"] and parents["c"] is grid.lines["l2"]
+    assert parents["d"] in (grid.lines["l3"], grid.lines["l4"])
     order = list(parents)
-    for bus, line_id in parents.items():
-        if line_id is not None:
-            frm, _to = orientation.from_to(grid.lines[line_id])
+    for bus, line in parents.items():
+        if line is not None:
+            frm, _to = orientation.from_to(line)
             assert order.index(frm) < order.index(bus)
+
+
+def _reach_cases(tmp_path):
+    """Every fixture, and 20 random connected grids with a drawn Snapshot.csv,
+    each as (grid, snapshot) in both snapshot modes."""
+    for name in FIXTURE_NAMES:
+        dataset = load_dataset(FIXTURES / name)
+        for mode in ("max", "timepoint"):
+            path = FIXTURES / name / "Snapshot.csv" if mode == "timepoint" else None
+            yield build_grid(dataset), make_snapshot(dataset, mode, path)
+    rng = random.Random(2718)
+    for case in range(20):
+        dataset = random_connected_dataset(rng, max_buses=40)
+        path = tmp_path / f"Snapshot{case}.csv"
+        reported = {g.id: rng.choice([0.0, g.max_capacity_mw / 2]) for g in dataset.generators}
+        path.write_text(serialize_snapshot_outputs(reported), encoding="utf-8")
+        yield build_grid(dataset), make_snapshot(dataset, "max")
+        yield build_grid(dataset), make_snapshot(dataset, "timepoint", path)
+
+
+def test_reach_walk_matches_networkx_descendants_and_hands_on_line_records(tmp_path):
+    nx = pytest.importorskip("networkx")
+    walks = 0
+    for grid, snap in _reach_cases(tmp_path):
+        orientation = orient_all(grid, snap, 42)
+        oriented = nx.DiGraph()
+        oriented.add_nodes_from(grid.adjacency)
+        oriented.add_edges_from(orientation.from_to(line) for line in grid.lines.values())
+        for bus in grid.adjacency:
+            if snap.outputs.get(bus, 0.0) <= 0.0:
+                continue
+            parents = reachable_buses(orientation, grid, bus)
+            assert set(parents) == {bus} | nx.descendants(oriented, bus)
+            order = list(parents)
+            assert order[0] == bus and parents[bus] is None
+            for member, line in list(parents.items())[1:]:
+                assert line is grid.lines[line.id]
+                frm, to = orientation.from_to(line)
+                assert to == member
+                assert order.index(frm) < order.index(member)
+            walks += 1
+    assert walks > 100
 
 
 # --- load attribution ----------------------------------------------------------

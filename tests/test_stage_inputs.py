@@ -161,10 +161,10 @@ def _reference_bus_load(demand_index, snapshot, orientation, grid):
             below[member] = weight * output
             loads[member] += below[member]
         for member in reversed(parents):
-            line_id = parents[member]
-            if line_id is not None:
-                routing[line_id] = routing.get(line_id, 0.0) + below[member]
-                below[orientation.from_to(grid.lines[line_id])[0]] += below[member]
+            line = parents[member]
+            if line is not None:
+                routing[line.id] = routing.get(line.id, 0.0) + below[member]
+                below[orientation.from_to(line)[0]] += below[member]
     return BusLoad(
         values=MappingProxyType(loads),
         warnings=tuple(warnings),
