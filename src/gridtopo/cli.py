@@ -41,7 +41,7 @@ from .ingest import (
     validate_dataset,
     write_text,
 )
-from .render import geojson_text, render_dot, render_geojson, render_svg
+from .render import render_dot, render_geojson, render_svg
 
 
 class _UsageError(Exception):
@@ -171,10 +171,7 @@ def _cmd_fetch(args) -> str:
 def _cmd_validate(args) -> str:
     dataset = load_dataset(args.data_dir)
     report = validate_dataset(dataset)
-    for entry in report.entries():
-        print(entry)
-    if report.is_clean:
-        print("dataset is clean")
+    print("\n".join(report.entries()) or "dataset is clean")
     return _summary(lines=len(dataset.lines))
 
 
@@ -242,10 +239,8 @@ def _cmd_render(args) -> str:
         solution, text = None, render_dot(grid, orientation)
     else:
         grid, orientation, solution, warnings = _solved(args, dataset)
-        if args.fmt == "svg":
-            text = render_svg(grid, orientation, solution)
-        else:
-            text = geojson_text(render_geojson(grid, orientation, solution))
+        render = render_svg if args.fmt == "svg" else render_geojson
+        text = render(grid, orientation, solution)
     write_text(args.out or Path(f"render.{args.fmt}"), text)
     _warn(warnings)
     return _summary(solution, len(dataset.lines), orientation.heuristic_count)

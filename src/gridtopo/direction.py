@@ -89,7 +89,8 @@ class Orientation:
 
     @property
     def heuristic_count(self) -> int:
-        return sum(1 for p in self.provenance.values() if p in HEURISTIC_PROVENANCES)
+        counts = self.provenance_counts()
+        return sum(counts[p] for p in HEURISTIC_PROVENANCES)
 
     def provenance_counts(self) -> dict[Provenance, int]:
         counts = {p: 0 for p in Provenance}
@@ -134,25 +135,20 @@ def apply_heuristics(
         active_a = outputs.get(line.endpoint_a, 0.0) > 0.0
         active_b = outputs.get(line.endpoint_b, 0.0) > 0.0
 
-        voltage_rule = None
-        if class_a > class_b:
-            voltage_rule = Direction.A_TO_B
-        elif class_b > class_a:
-            voltage_rule = Direction.B_TO_A
-
         if active_a and active_b:
             chosen = Direction.A_TO_B if rng.coin(seed, line_id) else Direction.B_TO_A
             rule = Provenance.BOTH_ENDS_GENERATOR_RANDOM
         elif active_a or active_b:
             chosen = Direction.A_TO_B if active_a else Direction.B_TO_A
             rule = Provenance.GENERATOR_SOURCE
-            if voltage_rule is not None and voltage_rule is not chosen:
+            if class_a != class_b and (class_a > class_b) != active_a:
                 conflicts.append(line_id)
         elif class_line < class_a and class_line < class_b:
             free_flow.add(line_id)
             continue
-        elif voltage_rule is not None:
-            chosen, rule = voltage_rule, Provenance.TWO_END_VOLTAGE
+        elif class_a != class_b:
+            chosen = Direction.A_TO_B if class_a > class_b else Direction.B_TO_A
+            rule = Provenance.TWO_END_VOLTAGE
         else:
             continue
         directions[line_id] = chosen

@@ -339,21 +339,16 @@ def write_solution_files(
     orientation: Orientation,
     grid: Grid,
     out_dir,
-) -> dict[str, Path]:
+) -> None:
     """Write flows.csv, buses.csv, and summary.txt under ``out_dir``."""
     out_dir = Path(out_dir)
-    paths = {
-        "flows": out_dir / "flows.csv",
-        "buses": out_dir / "buses.csv",
-        "summary": out_dir / "summary.txt",
-    }
     flows = (
         (line_id, *orientation.from_to(line), repr(solution.flows[line_id]))
         for line_id, line in grid.lines.items()
     )
-    write_csv(paths["flows"], ("line_id", "from_bus", "to_bus", "flow_mw"), flows)
+    write_csv(out_dir / "flows.csv", ("line_id", "from_bus", "to_bus", "flow_mw"), flows)
     write_csv(
-        paths["buses"],
+        out_dir / "buses.csv",
         ("bus_id", "injection_mw", "load_mw", "epsilon_mw"),
         (
             (
@@ -366,7 +361,7 @@ def write_solution_files(
         ),
     )
     write_text(
-        paths["summary"],
+        out_dir / "summary.txt",
         "\n".join(
             [
                 f"objective_mw = {repr(solution.objective)}",
@@ -379,4 +374,3 @@ def write_solution_files(
             ]
         ),
     )
-    return paths

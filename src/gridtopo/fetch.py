@@ -9,7 +9,8 @@ name to a URL and its expected SHA-256 hex digest:
 Cached files are named ``<name>-<hash prefix><ext>``. A cached file
 whose content matches the expected digest is reused without touching
 the network; a cached file whose content differs is never silently
-overwritten.
+overwritten. Each failure is a :class:`FetchError` that carries only
+its message, which names the dataset or the path.
 """
 
 from __future__ import annotations
@@ -36,18 +37,12 @@ class ManifestError(FetchError):
 class NetworkError(FetchError):
     """Transport failure; safe to retry."""
 
-    retriable = True
-
     def __init__(self, dataset: str, detail: str):
-        self.dataset = dataset
         super().__init__(f"fetching {dataset}: {detail}")
 
 
 class HashMismatch(FetchError):
     def __init__(self, dataset: str, expected: str, actual: str, where: str):
-        self.dataset = dataset
-        self.expected = expected
-        self.actual = actual
         super().__init__(
             f"{dataset}: {where} hash {actual} does not match expected {expected}"
         )

@@ -33,12 +33,14 @@ population points and area loads are: the GridDataset keeps no border.
 
 Within one load, each distinct WKT point, border vertex and voltage is
 one object (hash-consing), found in a table local to the parse and keyed
-by value, which is exact for nonzero finite floats. The line parse of
-:func:`load_dataset` starts its tables from the buses just parsed, so a
-line end is its bus's own ``id`` string and a WKT point at a substation
-is that bus's own ``location``. A pair with a zero coordinate is never
-looked up in a table, so never shared, because ``0.0 == -0.0`` and
-sharing could flip its sign and change a record's ``repr``.
+by value, which is exact for nonzero finite floats. The WKT reader,
+:func:`parse_wkt_linestring`, takes its point table as an argument. The
+line parse of :func:`load_dataset` starts its tables from the buses just
+parsed, so a line end is its bus's own ``id`` string and a WKT point at
+a substation is that bus's own ``location``. A pair with a zero
+coordinate is never looked up in a table, so never shared, because
+``0.0 == -0.0`` and sharing could flip its sign and change a record's
+``repr``.
 """
 
 from __future__ import annotations
@@ -329,12 +331,8 @@ def _fmt(value: float) -> str:
 _WKT_LINESTRING = re.compile(r"^\s*LINESTRING\s*\((.*)\)\s*$", re.IGNORECASE)
 
 
-def parse_wkt_linestring(text: str) -> tuple[Point, ...]:
-    return _parse_wkt(text, {})
-
-
-def _parse_wkt(text: str, shared: dict[Point, Point]) -> tuple[Point, ...]:
-    """:func:`parse_wkt_linestring`, taking each point with no zero
+def parse_wkt_linestring(text: str, shared: dict[Point, Point]) -> tuple[Point, ...]:
+    """The points of a WKT LINESTRING, taking each point with no zero
     coordinate from ``shared`` if an equal one is there, else adding it."""
     match = _WKT_LINESTRING.match(text)
     if not match:
@@ -405,7 +403,7 @@ def parse_lines(path, buses: Sequence[BusRecord] = ()) -> list[LineRecord]:
         raw_wkt = row[4].strip() if len(row) > 4 else ""
         if raw_wkt:
             try:
-                geometry = _parse_wkt(raw_wkt, points)
+                geometry = parse_wkt_linestring(raw_wkt, points)
             except ValueError as exc:
                 raise InvalidValue(str(exc)) from None
         bus_a = endpoints.setdefault(bus_a, bus_a)
@@ -792,10 +790,6 @@ class ValidationReport:
     isolated_buses: tuple[str, ...] = ()
     voltage_anomalies: tuple[str, ...] = ()
     duplicate_geometry: tuple[str, ...] = ()
-
-    @property
-    def is_clean(self) -> bool:
-        return not self.entries()
 
     def entries(self) -> list[str]:
         lines = []

@@ -6,6 +6,7 @@ Load and flow intensity is encoded as a linear two-color ramp
 normalized per render to the [min, max] of the plotted quantity. DOT
 output captures the directed topology with provenance attributes, and
 SVG is a flat projection of the same features with the same colors.
+Each renderer returns its document as text, ending in a newline.
 """
 
 from __future__ import annotations
@@ -72,8 +73,8 @@ def _features(grid: Grid, orientation: Orientation, solution: FlowSolution | Non
 
 def render_geojson(
     grid: Grid, orientation: Orientation, solution: FlowSolution | None = None
-) -> dict:
-    """Build a GeoJSON FeatureCollection: buses, then lines, in grid order.
+) -> str:
+    """GeoJSON FeatureCollection text: buses, then lines, in grid order.
 
     Buses are colored by load, lines by flow, both normalized to the
     render's own [min, max]. Without a solution everything renders at
@@ -96,13 +97,9 @@ def render_geojson(
         properties["color"] = color
         geometry = {"type": "LineString", "coordinates": [list(p) for p in points]}
         features.append({"type": "Feature", "geometry": geometry, "properties": properties})
-    return {"type": "FeatureCollection", "features": features}
-
-
-def geojson_text(document: dict) -> str:
     import json  # imported here: only ``render --format geojson`` needs it
 
-    return json.dumps(document, indent=2) + "\n"
+    return json.dumps({"type": "FeatureCollection", "features": features}, indent=2) + "\n"
 
 
 def _dot_quote(value: str) -> str:

@@ -4,7 +4,9 @@ from collections.abc import Mapping
 from types import MappingProxyType
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from gridtopo import rng as seeded
 from gridtopo.direction import (
     Direction,
     Provenance,
@@ -335,6 +337,63 @@ def test_h3_dominance_on_random_graphs():
             if active_a != active_b:
                 frm, _to = orientation.from_to(line)
                 assert frm == (line.endpoint_a if active_a else line.endpoint_b)
+
+
+#: Class rank of each kV level that ``random_connected_dataset`` draws,
+#: as the README ranks them: 240 kV and 500 kV count as one class.
+_README_CLASS = {25.0: 0, 69.0: 1, 138.0: 2, 240.0: 3, 500.0: 3}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(grid_seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_stage_one_follows_the_readme_rules_on_random_grids(grid_seed, data):
+    """Every line's stage-1 decision, conflict flag and deferral, against
+    the README's rules written out line by line: a generator end pushes
+    power away; generators at both ends toss the seeded coin; a line
+    rated below both endpoint classes is free flow; otherwise endpoint
+    classes that differ run high to low. A conflict is a generator
+    decision whose generating end has the lower class."""
+    dataset = random_connected_dataset(random.Random(grid_seed), max_buses=30)
+    grid = build_grid(dataset)
+    mw = st.one_of(st.just(0.0), st.floats(0.0, 100.0))
+    outputs = data.draw(st.dictionaries(st.sampled_from(sorted(grid.buses)), mw), label="outputs")
+    seed = data.draw(st.integers(0, 10_000), label="seed")
+    partial = apply_heuristics(grid, GenerationSnapshot(outputs), seed)
+
+    expected, conflicts, free_flow = {}, [], set()
+    for line_id, line in grid.lines.items():
+        a, b = line.endpoint_a, line.endpoint_b
+        class_a = _README_CLASS[grid.buses[a].voltage_kv]
+        class_b = _README_CLASS[grid.buses[b].voltage_kv]
+        gen_a = outputs.get(a, 0.0) > 0.0
+        gen_b = outputs.get(b, 0.0) > 0.0
+        if gen_a and gen_b:
+            ends = (a, b) if seeded.coin(seed, line_id) else (b, a)
+            expected[line_id] = (Provenance.BOTH_ENDS_GENERATOR_RANDOM, ends)
+        elif gen_a or gen_b:
+            expected[line_id] = (Provenance.GENERATOR_SOURCE, (a, b) if gen_a else (b, a))
+            if (class_a < class_b) if gen_a else (class_b < class_a):
+                conflicts.append(line_id)
+        elif _README_CLASS[line.voltage_kv] < min(class_a, class_b):
+            free_flow.add(line_id)
+        elif class_a != class_b:
+            expected[line_id] = (Provenance.TWO_END_VOLTAGE, (a, b) if class_a > class_b else (b, a))
+
+    decided = {
+        line_id: (
+            partial.provenance[line_id],
+            (line.endpoint_a, line.endpoint_b)
+            if partial.directions[line_id] is Direction.A_TO_B
+            else (line.endpoint_b, line.endpoint_a),
+        )
+        for line_id, line in grid.lines.items()
+        if line_id in partial.directions
+    }
+    assert decided == expected
+    assert set(partial.provenance) == set(partial.directions)
+    assert partial.conflicts == tuple(sorted(conflicts))
+    assert partial.free_flow == free_flow
+    assert partial.fed == {to for _provenance, (_frm, to) in expected.values()}
 
 
 def test_residual_reachability_from_entries():

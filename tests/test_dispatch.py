@@ -688,13 +688,14 @@ def test_write_solution_files(tmp_path):
         ["a", "b"], [("l1", "a", "b")], {"a": 10.0}, {"b": 10.0}
     )
     solution = solve_flow_lp(orientation, grid, load, snap)
-    paths = write_solution_files(solution, orientation, grid, tmp_path / "out")
-    flows = paths["flows"].read_text().splitlines()
-    buses = paths["buses"].read_text().splitlines()
+    out_dir = tmp_path / "out"
+    write_solution_files(solution, orientation, grid, out_dir)
+    flows = (out_dir / "flows.csv").read_text().splitlines()
+    buses = (out_dir / "buses.csv").read_text().splitlines()
     assert flows[0] == "line_id,from_bus,to_bus,flow_mw"
     assert flows[1] == "l1,a,b,10.0"
     assert buses[0] == "bus_id,injection_mw,load_mw,epsilon_mw"
-    assert "objective_mw = 0.0" in paths["summary"].read_text()
+    assert "objective_mw = 0.0" in (out_dir / "summary.txt").read_text()
 
 
 def test_serialize_snapshot_round_trip(tmp_path):

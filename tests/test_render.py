@@ -12,7 +12,7 @@ from gridtopo.demand import allocate_demand_index
 from gridtopo.dispatch import FlowSolution, estimate_bus_load, make_snapshot, solve_flow_lp
 from gridtopo.graph import build_grid
 from gridtopo.ingest import load_dataset
-from gridtopo.render import RAMP, geojson_text, render_dot, render_geojson, render_svg
+from gridtopo.render import RAMP, render_dot, render_geojson, render_svg
 
 from helpers import FIXTURE_NAMES, FIXTURES, lp_case, make_orientation, toy_dataset
 
@@ -57,7 +57,7 @@ def validate_geojson(document):
 
 def test_geojson_without_solution():
     grid, orientation, _snap, _load = two_bus_setup()
-    document = render_geojson(grid, orientation)
+    document = json.loads(render_geojson(grid, orientation))
     validate_geojson(document)
     assert len(document["features"]) == 3  # 2 points + 1 line
     for feature in document["features"]:
@@ -69,7 +69,7 @@ def test_geojson_without_solution():
 def test_geojson_flow_passthrough_and_ramp_extremes():
     grid, orientation, snap, load = chain_with_idle_tail()
     solution = solve_flow_lp(orientation, grid, load, snap)
-    document = render_geojson(grid, orientation, solution)
+    document = json.loads(render_geojson(grid, orientation, solution))
     validate_geojson(document)
     lines = {
         f["properties"]["id"]: f["properties"]
@@ -93,8 +93,8 @@ def test_geojson_flow_passthrough_and_ramp_extremes():
 def test_geojson_linestring_follows_direction():
     dataset = toy_dataset([("a", 138), ("b", 138)], [("l1", "a", "b", 138)])
     grid = build_grid(dataset)
-    forward = render_geojson(grid, make_orientation(grid, {"l1": ("a", "b")}))
-    backward = render_geojson(grid, make_orientation(grid, {"l1": ("b", "a")}))
+    forward = json.loads(render_geojson(grid, make_orientation(grid, {"l1": ("a", "b")})))
+    backward = json.loads(render_geojson(grid, make_orientation(grid, {"l1": ("b", "a")})))
     line_fwd = forward["features"][-1]
     line_bwd = backward["features"][-1]
     assert line_fwd["geometry"]["coordinates"] == line_bwd["geometry"]["coordinates"][::-1]
@@ -107,7 +107,7 @@ def test_geojson_on_fixture_with_polyline_geometry():
     grid = build_grid(dataset)
     snap = make_snapshot(dataset, "max")
     orientation = orient_all(grid, snap, 42)
-    document = render_geojson(grid, orientation)
+    document = json.loads(render_geojson(grid, orientation))
     validate_geojson(document)
     by_id = {
         f["properties"]["id"]: f
@@ -120,8 +120,8 @@ def test_geojson_on_fixture_with_polyline_geometry():
 def test_geojson_text_deterministic():
     grid, orientation, snap, load = two_bus_setup()
     solution = solve_flow_lp(orientation, grid, load, snap)
-    first = geojson_text(render_geojson(grid, orientation, solution))
-    second = geojson_text(render_geojson(grid, orientation, solution))
+    first = render_geojson(grid, orientation, solution)
+    second = render_geojson(grid, orientation, solution)
     assert first == second
     json.loads(first)
 
@@ -211,7 +211,7 @@ def test_svg_draws_the_geojson_features(name):
     both carry the feature's color, and a circle's title is its id."""
     ns = "{http://www.w3.org/2000/svg}"
     for grid, orientation, solution in _fixture_renders(name):
-        features = render_geojson(grid, orientation, solution)["features"]
+        features = json.loads(render_geojson(grid, orientation, solution))["features"]
         points = [f for f in features if f["geometry"]["type"] == "Point"]
         lines = [f for f in features if f["geometry"]["type"] == "LineString"]
         coords = [p["geometry"]["coordinates"] for p in points]
@@ -248,7 +248,7 @@ def test_ramp_interpolation_endpoints_and_midpoint():
     loads = {"a": 0.0, "b": 5.0, "c": 10.0}
     zero = {bus_id: 0.0 for bus_id in loads}
     solution = FlowSolution({}, zero, zero, loads, 0.0, 0.0)
-    document = render_geojson(grid, make_orientation(grid, {}), solution)
+    document = json.loads(render_geojson(grid, make_orientation(grid, {}), solution))
     colors = [f["properties"]["color"] for f in document["features"]]
     # midpoint channels: round(44 + 171 / 2), round(123 - 98 / 2), round(182 - 154 / 2)
     assert colors == [RAMP_BOTTOM, "#824a69", RAMP_TOP]

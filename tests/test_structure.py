@@ -14,8 +14,9 @@ submodule, so a list of exports would only restate the module.
 Every module-level function and class, and every method, is named
 somewhere in the package, so no definition lives only for the tests.
 The few that stay for other callers are listed with their reason. In
-the same way, every field of a package dataclass is read somewhere in
-the package, so no record carries data that nothing uses.
+the same way, every field of a package dataclass, and every attribute
+a package method stores on ``self``, is read somewhere in the package,
+so no object carries data that nothing uses.
 
 At module level the test suites import only the standard library, the
 repository's own code and what the ``test`` extra installs, so ``pip
@@ -168,14 +169,13 @@ def test_all_guard_flags_every_binding():
     assert all_assignments(source, "m.py") == ["m.py:1", "m.py:2", "m.py:3", "m.py:4", "m.py:6"]
 
 
-# Callers of the ingest.serialize_* writers; ROADMAP item 1 plans a dataset
+# Callers of the ingest.serialize_* writers; ROADMAP item 5a plans a dataset
 # generator in the package that writes through them.
-_WRITER = "round-trip tests, test_scaling's dataset writer, ROADMAP item 1's generator"
+_WRITER = "round-trip tests, test_scaling's dataset writer, ROADMAP item 5a's generator"
 
 #: Definitions no package code names, each kept for a caller outside it.
 UNREFERENCED = {
     "direction.py:Orientation.endpoint_map": "perfbench diffs two orientations with it",
-    "direction.py:Orientation.provenance_counts": "perfbench records the provenance histogram",
     "dispatch.py:GenerationSnapshot.total_output": "perfbench checks bus-load mass against it",
     "ingest.py:serialize_buses": _WRITER,
     "ingest.py:serialize_lines": _WRITER,
@@ -184,11 +184,7 @@ UNREFERENCED = {
     "ingest.py:serialize_planning_area_polygons": _WRITER,
     "ingest.py:serialize_city_polygons": _WRITER,
     "ingest.py:serialize_population_points": _WRITER,
-    "ingest.py:serialize_snapshot_outputs": "round-trip tests, ROADMAP item 1's generator",
-    "ingest.py:parse_wkt_linestring": (
-        "the public one-string WKT reader, which the WKT tests call; parse_lines reads "
-        "through _parse_wkt with the point table of its parse"
-    ),
+    "ingest.py:serialize_snapshot_outputs": "round-trip tests, ROADMAP item 5a's generator",
 }
 
 
@@ -304,6 +300,67 @@ def test_field_guard_flags_fields_no_attribute_reads():
         "b.py": "r.read\nr.stored = 1\nR(named=1)\ngetattr(s, 'dropped')\nprint(s.kept.x)\n",
     }
     assert unread_fields(sources) == ["a.py:R.stored", "a.py:R.named", "a.py:S.dropped"]
+
+
+#: Attributes package methods store on ``self`` that no package code
+#: reads, each kept for a reader outside it.
+UNREAD_ATTRIBUTES = {
+    "ingest.py:IngestError.row": (
+        "tests and library callers that locate an ingest error read it"
+    ),
+}
+
+
+def unread_attributes(sources: dict[str, str]) -> list[str]:
+    """``module:Class.name`` of each attribute that a method of a class
+    stores on ``self`` (``self.name = ...``) and whose name no attribute
+    read in ``sources`` carries, each once, sorted."""
+    stored, read = {}, set()
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source, filename=module)):
+            if isinstance(node, ast.ClassDef):
+                for method in node.body:
+                    if not isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        continue
+                    for item in ast.walk(method):
+                        if (
+                            isinstance(item, ast.Attribute)
+                            and isinstance(item.ctx, ast.Store)
+                            and isinstance(item.value, ast.Name)
+                            and item.value.id == "self"
+                        ):
+                            stored.setdefault(f"{module}:{node.name}.{item.attr}", item.attr)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return sorted(key for key, name in stored.items() if name not in read)
+
+
+def test_every_stored_attribute_is_read_in_the_package():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    # Equality, so an entry goes once the package reads the attribute.
+    assert unread_attributes(sources) == sorted(UNREAD_ATTRIBUTES)
+
+
+def test_attribute_guard_flags_stored_attributes_no_read_names():
+    sources = {
+        "a.py": (
+            "self.module_level = 1\n"
+            "class E(Exception):\n"
+            "    def __init__(self, a, b):\n"
+            "        self.read = a\n"
+            "        self.kept, self.tupled = a, b\n"
+            "        self.stored: int = b\n"
+            "        other.elsewhere = a\n"
+            "    def again(self):\n"
+            "        self.stored += 1\n"
+            "        self.named = 1\n"
+            "class F:\n"
+            "    def m(self):\n"
+            "        self.read = 2\n"
+        ),
+        "b.py": "e.read\nprint(e.kept)\ngetattr(e, 'named')\nE(stored=1)\n",
+    }
+    assert unread_attributes(sources) == ["a.py:E.named", "a.py:E.stored", "a.py:E.tupled"]
 
 
 def imported_packages(source: str, name: str) -> set[str]:
