@@ -46,14 +46,13 @@ coordinate is never looked up in a table, so never shared, because
 from __future__ import annotations
 
 import csv
-import io
 import math
 import re
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import pairwise
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .geometry import BOUNDARY, PlanarPolygon, Point, locate
 
@@ -324,10 +323,6 @@ def _point(x: str, y: str) -> Point:
     return (_float(x, "x"), _float(y, "y"))
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
-
-
 _WKT_LINESTRING = re.compile(r"^\s*LINESTRING\s*\((.*)\)\s*$", re.IGNORECASE)
 
 
@@ -350,11 +345,6 @@ def parse_wkt_linestring(text: str, shared: dict[Point, Point]) -> tuple[Point, 
     if len(points) < 2:
         raise ValueError("LINESTRING needs at least 2 points")
     return tuple(points)
-
-
-def format_wkt_linestring(points: Iterable[Point]) -> str:
-    inner = ", ".join(f"{_fmt(x)} {_fmt(y)}" for x, y in points)
-    return f"LINESTRING ({inner})"
 
 
 # ---------------------------------------------------------------------------
@@ -521,19 +511,7 @@ def parse_snapshot_outputs(path) -> dict[str, float]:
 
 
 # ---------------------------------------------------------------------------
-# Serializers (canonical form; parse -> serialize normalizes a file) and writers
-
-def _write_rows(fh, header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-
-
-def _write_csv(header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
-    out = io.StringIO()
-    _write_rows(out, header, rows)
-    return out.getvalue()
-
+# Writers
 
 def _open_output(path):
     """Open ``path`` for writing as UTF-8 without newline translation,
@@ -555,83 +533,9 @@ def write_text(path, text: str) -> None:
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
     """Stream a header and rows to ``path`` as CSV with ``\\n`` line ends."""
     with _open_output(path) as fh:
-        _write_rows(fh, header, rows)
-
-
-def serialize_buses(records: Iterable[BusRecord]) -> str:
-    return _write_csv(
-        ("id", "name", "x", "y", "voltage_kv"),
-        (
-            (b.id, b.name, _fmt(b.location[0]), _fmt(b.location[1]), _fmt(b.voltage_kv))
-            for b in records
-        ),
-    )
-
-
-def serialize_lines(records: Iterable[LineRecord]) -> str:
-    records = list(records)
-    with_geometry = any(r.geometry is not None for r in records)
-    header = ["id", "bus_a", "bus_b", "voltage_kv"]
-    if with_geometry:
-        header.append("wkt_geometry")
-    rows = []
-    for r in records:
-        row = [r.id, r.endpoint_a, r.endpoint_b, _fmt(r.voltage_kv)]
-        if with_geometry:
-            row.append("" if r.geometry is None else format_wkt_linestring(r.geometry))
-        rows.append(row)
-    return _write_csv(header, rows)
-
-
-def serialize_generators(records: Iterable[GeneratorRecord]) -> str:
-    return _write_csv(
-        ("id", "bus_id", "max_capacity_mw", "fuel_type"),
-        ((g.id, g.bus_id, _fmt(g.max_capacity_mw), g.fuel_type) for g in records),
-    )
-
-
-def serialize_hourly_loads(records: Iterable[AreaLoad]) -> str:
-    return _write_csv(
-        ("area_id", "name", "avg_hourly_load_mw"),
-        ((a.area_id, a.name, _fmt(a.avg_hourly_load_mw)) for a in records),
-    )
-
-
-def _serialize_borders(shapes: Iterable[Border], id_column: str) -> str:
-    return _write_csv(
-        (id_column, *_BORDER_COLUMNS),
-        (
-            (s.id, s.name, str(ring_i), str(vertex_i), _fmt(x), _fmt(y))
-            for s in shapes
-            for ring_i, ring in enumerate(s.boundary.rings)
-            for vertex_i, (x, y) in enumerate(ring[:-1])  # open form on disk
-        ),
-    )
-
-
-def serialize_planning_area_polygons(areas: Iterable[Border]) -> str:
-    return _serialize_borders(areas, "area_id")
-
-
-def serialize_city_polygons(cities: Iterable[Border]) -> str:
-    return _serialize_borders(cities, "city_id")
-
-
-def serialize_population_points(points: Iterable[PopulationPoint]) -> str:
-    return _write_csv(
-        ("city_id", "x", "y", "population"),
-        (
-            (p.city_id, _fmt(p.location[0]), _fmt(p.location[1]), str(p.population))
-            for p in points
-        ),
-    )
-
-
-def serialize_snapshot_outputs(outputs: Mapping[str, float]) -> str:
-    return _write_csv(
-        ("generator_id", "output_mw"),
-        ((gen_id, _fmt(mw)) for gen_id, mw in sorted(outputs.items())),
-    )
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 # ---------------------------------------------------------------------------

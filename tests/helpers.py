@@ -3,15 +3,18 @@
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
+import io
 import math
 from pathlib import Path
 from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence
 
 from gridtopo.cli import _build_parser
 from gridtopo.direction import Direction, Orientation, Provenance
 from gridtopo.dispatch import BusLoad, GenerationSnapshot
-from gridtopo.geometry import PlanarPolygon
+from gridtopo.geometry import PlanarPolygon, Point
 from gridtopo.graph import Grid, build_grid
 from gridtopo.ingest import (
     AreaLoad,
@@ -22,6 +25,7 @@ from gridtopo.ingest import (
     LineRecord,
     PlanningArea,
     PopulationPoint,
+    _BORDER_COLUMNS,
     build_dataset,
 )
 
@@ -37,6 +41,102 @@ def write_latin1_substations(path, bad_row: int, newline: str = "\n", bom: bool 
     rows[bad_row - 1] = rows[bad_row - 1].replace(",", "\u00e9,", 1)
     text = newline.join(rows) + newline
     Path(path).write_bytes((b"\xef\xbb\xbf" if bom else b"") + text.encode("latin-1"))
+
+
+# Writers of the input file family, in canonical form: parse -> serialize
+# normalizes a file. Each returns the file's text.
+
+def _fmt(value: float) -> str:
+    return repr(float(value))
+
+
+def _write_csv(header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
+
+
+def format_wkt_linestring(points: Iterable[Point]) -> str:
+    inner = ", ".join(f"{_fmt(x)} {_fmt(y)}" for x, y in points)
+    return f"LINESTRING ({inner})"
+
+
+def serialize_buses(records: Iterable[BusRecord]) -> str:
+    return _write_csv(
+        ("id", "name", "x", "y", "voltage_kv"),
+        (
+            (b.id, b.name, _fmt(b.location[0]), _fmt(b.location[1]), _fmt(b.voltage_kv))
+            for b in records
+        ),
+    )
+
+
+def serialize_lines(records: Iterable[LineRecord]) -> str:
+    records = list(records)
+    with_geometry = any(r.geometry is not None for r in records)
+    header = ["id", "bus_a", "bus_b", "voltage_kv"]
+    if with_geometry:
+        header.append("wkt_geometry")
+    rows = []
+    for r in records:
+        row = [r.id, r.endpoint_a, r.endpoint_b, _fmt(r.voltage_kv)]
+        if with_geometry:
+            row.append("" if r.geometry is None else format_wkt_linestring(r.geometry))
+        rows.append(row)
+    return _write_csv(header, rows)
+
+
+def serialize_generators(records: Iterable[GeneratorRecord]) -> str:
+    return _write_csv(
+        ("id", "bus_id", "max_capacity_mw", "fuel_type"),
+        ((g.id, g.bus_id, _fmt(g.max_capacity_mw), g.fuel_type) for g in records),
+    )
+
+
+def serialize_hourly_loads(records: Iterable[AreaLoad]) -> str:
+    return _write_csv(
+        ("area_id", "name", "avg_hourly_load_mw"),
+        ((a.area_id, a.name, _fmt(a.avg_hourly_load_mw)) for a in records),
+    )
+
+
+def _serialize_borders(shapes: Iterable[Border], id_column: str) -> str:
+    return _write_csv(
+        (id_column, *_BORDER_COLUMNS),
+        (
+            (s.id, s.name, str(ring_i), str(vertex_i), _fmt(x), _fmt(y))
+            for s in shapes
+            for ring_i, ring in enumerate(s.boundary.rings)
+            for vertex_i, (x, y) in enumerate(ring[:-1])  # open form on disk
+        ),
+    )
+
+
+def serialize_planning_area_polygons(areas: Iterable[Border]) -> str:
+    return _serialize_borders(areas, "area_id")
+
+
+def serialize_city_polygons(cities: Iterable[Border]) -> str:
+    return _serialize_borders(cities, "city_id")
+
+
+def serialize_population_points(points: Iterable[PopulationPoint]) -> str:
+    return _write_csv(
+        ("city_id", "x", "y", "population"),
+        (
+            (p.city_id, _fmt(p.location[0]), _fmt(p.location[1]), str(p.population))
+            for p in points
+        ),
+    )
+
+
+def serialize_snapshot_outputs(outputs: Mapping[str, float]) -> str:
+    return _write_csv(
+        ("generator_id", "output_mw"),
+        ((gen_id, _fmt(mw)) for gen_id, mw in sorted(outputs.items())),
+    )
 
 
 def command_flags() -> dict[str, set[str]]:

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import os
@@ -11,7 +12,7 @@ import pytest
 import gridtopo
 from gridtopo.cli import cli_main
 from gridtopo.demand import allocate_demand_index
-from gridtopo.direction import orient_all
+from gridtopo.direction import orient_all, read_orientation_csv
 from gridtopo.dispatch import estimate_bus_load, make_snapshot
 from gridtopo.graph import build_grid
 from gridtopo.ingest import load_dataset
@@ -558,6 +559,67 @@ def test_demand_index_export(capsys, tmp_path):
     assert values["S1"] == pytest.approx(16.96)  # 0.848 * 40 / 2
     assert values["S3"] == pytest.approx(6.08)  # 0.152 * 40
     assert values["S4"] == pytest.approx(3.0)  # reassigned island share
+
+
+def _quoted_diamond(data: Path) -> dict[str, str]:
+    """Copy the diamond fixture to ``data`` with every bus and line id
+    rewritten to ``<id>, "q"``; returns the new id of each old one."""
+    shutil.copytree(FIXTURES / "diamond", data)
+    renamed = {}
+
+    def rewrite(name, columns):
+        with open(data / name, newline="", encoding="utf-8") as fh:
+            header, *rows = csv.reader(fh)
+        for row in rows:
+            for i in columns:
+                row[i] = renamed.setdefault(row[i], f'{row[i]}, "q"')
+        with open(data / name, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh, lineterminator="\n").writerows([header, *rows])
+
+    rewrite("Substation.csv", (0,))
+    rewrite("Line.csv", (0, 1, 2))
+    rewrite("Generator.csv", (1,))
+    return renamed
+
+
+def _csv_rows(path: Path) -> list[list[str]]:
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.reader(fh))[1:]
+
+
+def test_ids_with_commas_and_quotes_survive_every_output_file(capsys, tmp_path):
+    data = tmp_path / "data"
+    renamed = _quoted_diamond(data)
+    out = tmp_path / "out"
+    for argv in (
+        ("solve", "--out", str(out / "solution")),
+        ("orient", "--out", str(out / "orientation.csv")),
+        ("demand-index", "--out", str(out / "demand_index.csv")),
+    ):
+        code, _stdout, err = run(capsys, *argv, "--data-dir", str(data))
+        assert code == 0, err
+
+    dataset = load_dataset(data)
+    assert {b.id for b in dataset.buses} | {l.id for l in dataset.lines} == set(
+        renamed.values()
+    )
+    grid = build_grid(dataset)
+    expected = orient_all(grid, make_snapshot(dataset)).endpoint_map(grid)
+    endpoints, _ = read_orientation_csv(out / "orientation.csv")
+    assert endpoints == expected
+
+    flows = _csv_rows(out / "solution" / "flows.csv")
+    assert {row[0]: (row[1], row[2]) for row in flows} == expected
+    bus_ids = sorted(b.id for b in dataset.buses)
+    assert sorted(row[0] for row in _csv_rows(out / "solution" / "buses.csv")) == bus_ids
+    assert sorted(row[0] for row in _csv_rows(out / "demand_index.csv")) == bus_ids
+
+    code, stdout, _err = run(
+        capsys, "diff", str(out / "solution" / "orientation.csv"), str(out / "orientation.csv")
+    )
+    assert code == 0
+    summary = summary_line(stdout)
+    assert (summary["lines"], summary["changed"]) == ("4", "0")
 
 
 def test_render_formats(capsys, tmp_path):

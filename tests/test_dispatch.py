@@ -26,8 +26,6 @@ from gridtopo.ingest import (
     load_dataset,
     parse_generators,
     parse_snapshot_outputs,
-    serialize_generators,
-    serialize_snapshot_outputs,
 )
 
 from helpers import (
@@ -38,6 +36,8 @@ from helpers import (
     oracle_lp_objective,
     random_connected_dataset,
     random_lp_instance,
+    serialize_generators,
+    serialize_snapshot_outputs,
     toy_dataset,
 )
 

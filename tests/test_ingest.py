@@ -42,7 +42,6 @@ from gridtopo.ingest import (
     _voltage,
     assign_regions,
     build_dataset,
-    format_wkt_linestring,
     load_dataset,
     parse_buses,
     parse_city_polygons,
@@ -53,6 +52,14 @@ from gridtopo.ingest import (
     parse_population_points,
     parse_snapshot_outputs,
     parse_wkt_linestring,
+    validate_dataset,
+    write_text,
+)
+
+from helpers import (
+    FIXTURES,
+    FIXTURE_NAMES,
+    format_wkt_linestring,
     serialize_buses,
     serialize_city_polygons,
     serialize_generators,
@@ -61,11 +68,8 @@ from gridtopo.ingest import (
     serialize_planning_area_polygons,
     serialize_population_points,
     serialize_snapshot_outputs,
-    validate_dataset,
-    write_text,
+    write_latin1_substations,
 )
-
-from helpers import FIXTURES, FIXTURE_NAMES, write_latin1_substations
 
 
 def P(x, y):

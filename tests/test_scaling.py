@@ -36,6 +36,13 @@ from helpers import (
     lattice_dataset,
     lattice_records,
     planar_lattice_records,
+    serialize_buses,
+    serialize_city_polygons,
+    serialize_generators,
+    serialize_hourly_loads,
+    serialize_lines,
+    serialize_planning_area_polygons,
+    serialize_population_points,
 )
 
 
@@ -111,20 +118,21 @@ def test_solve_chain_scales_linearly(tmp_path):
 
 
 def _write_dataset(records, data_dir) -> None:
-    """Write ``records`` as the canonical file family through ``serialize_*``;
-    without ``area_loads`` in ``records``, every area loads 100 MW."""
+    """Write ``records`` as the canonical file family through the
+    ``serialize_*`` helpers; without ``area_loads`` in ``records``, every
+    area loads 100 MW."""
     loads = records.get("area_loads") or [
         AreaLoad(a.id, a.name, 100.0) for a in records["planning_areas"]
     ]
     records = {**records, "area_loads": loads}
     texts = {
-        "buses": ingest.serialize_buses(records["buses"]),
-        "lines": ingest.serialize_lines(records["lines"]),
-        "generators": ingest.serialize_generators(records["generators"]),
-        "planning_areas": ingest.serialize_planning_area_polygons(records["planning_areas"]),
-        "cities": ingest.serialize_city_polygons(records["city_polygons"]),
-        "population": ingest.serialize_population_points(records["population_points"]),
-        "hourly_loads": ingest.serialize_hourly_loads(loads),
+        "buses": serialize_buses(records["buses"]),
+        "lines": serialize_lines(records["lines"]),
+        "generators": serialize_generators(records["generators"]),
+        "planning_areas": serialize_planning_area_polygons(records["planning_areas"]),
+        "cities": serialize_city_polygons(records["city_polygons"]),
+        "population": serialize_population_points(records["population_points"]),
+        "hourly_loads": serialize_hourly_loads(loads),
     }
     for key, name in DATASET_FILES.items():
         ingest.write_text(data_dir / name, texts[key])
