@@ -61,12 +61,8 @@ def _build_parser() -> _Parser:
     scenario = _Parser(add_help=False)
     scenario.add_argument("--seed", type=int, default=DEFAULT_SEED, help="random-stage seed")
     scenario.add_argument(
-        "--mode",
-        choices=(MODE_MAX_CAPACITY, MODE_TIME_POINT),
-        default=MODE_MAX_CAPACITY,
-        help="generation scenario mode",
+        "--snapshot", type=Path, help="time-point Snapshot.csv (default: generators at capacity)"
     )
-    scenario.add_argument("--snapshot", type=Path, help="Snapshot.csv for timepoint mode")
     urban = _Parser(add_help=False)
     urban.add_argument(
         "--urban-share",
@@ -136,7 +132,8 @@ def _warn(lines) -> None:
 
 def _oriented(args, dataset):
     grid = build_grid(dataset)
-    snapshot = make_snapshot(dataset, args.mode, args.snapshot)
+    mode = MODE_MAX_CAPACITY if args.snapshot is None else MODE_TIME_POINT
+    snapshot = make_snapshot(dataset, mode, args.snapshot)
     orientation = orient_all(grid, snapshot, args.seed)
     warnings = _warnings(snapshot, orientation)
     if orientation.conflicts:
@@ -252,12 +249,6 @@ def cli_main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.command is None:
             raise _UsageError("a subcommand is required")
-        # The scenario flags of orient, solve and render, checked before any file is read.
-        timepoint = getattr(args, "mode", None) == MODE_TIME_POINT
-        if timepoint and args.snapshot is None:
-            raise _UsageError("--mode timepoint requires --snapshot")
-        if not timepoint and getattr(args, "snapshot", None) is not None:
-            raise _UsageError("--snapshot requires --mode timepoint")
         print(args.run(args))
         return 0
     except _UsageError as exc:

@@ -78,6 +78,8 @@ def make_snapshot(
     outputs above nameplate capacity are accepted, both with a warning.
     """
     if mode == MODE_MAX_CAPACITY:
+        if snapshot_path is not None:
+            raise ValueError(f"max-capacity mode takes no snapshot file: {snapshot_path}")
         # Every generator reported at capacity: none of the warnings applies.
         reported = {g.id: g.max_capacity_mw for g in dataset.generators}
     elif mode != MODE_TIME_POINT:

@@ -37,9 +37,6 @@ class ManifestError(FetchError):
 class NetworkError(FetchError):
     """Transport failure; safe to retry."""
 
-    def __init__(self, dataset: str, detail: str):
-        super().__init__(f"fetching {dataset}: {detail}")
-
 
 class HashMismatch(FetchError):
     def __init__(self, dataset: str, expected: str, actual: str, where: str):
@@ -100,7 +97,7 @@ def _download(entry: ManifestEntry) -> bytes:
         with urllib.request.urlopen(entry.url, timeout=DOWNLOAD_TIMEOUT_S) as response:
             return response.read()
     except (urllib.error.URLError, OSError) as exc:
-        raise NetworkError(entry.name, str(exc)) from exc
+        raise NetworkError(f"fetching {entry.name}: {exc}") from exc
 
 
 def fetch_dataset(manifest_path, cache_dir) -> list[Path]:

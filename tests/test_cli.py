@@ -44,13 +44,13 @@ def test_no_subcommand_exits_1(capsys):
     assert "usage" in err.lower()
 
 
-SOLVE_FLAGS = {"--data-dir", "--seed", "--mode", "--snapshot", "--urban-share", "--out"}
+SOLVE_FLAGS = {"--data-dir", "--seed", "--snapshot", "--urban-share", "--out"}
 
 #: The flags each command reads, and no others.
 COMMAND_FLAGS = {
     "fetch": {"--data-dir", "--manifest", "--cache-dir"},
     "validate": {"--data-dir"},
-    "orient": {"--data-dir", "--seed", "--mode", "--snapshot", "--out"},
+    "orient": {"--data-dir", "--seed", "--snapshot", "--out"},
     "similarity": {"--data-dir", "--out"},
     "demand-index": {"--data-dir", "--urban-share", "--out"},
     "solve": SOLVE_FLAGS,
@@ -61,7 +61,7 @@ COMMAND_FLAGS = {
 
 def test_each_command_takes_only_the_flags_it_reads():
     assert command_flags() == COMMAND_FLAGS
-    assert sum(map(len, COMMAND_FLAGS.values())) == 27
+    assert sum(map(len, COMMAND_FLAGS.values())) == 24
 
 
 GRID30 = str(FIXTURES / "grid30")
@@ -94,6 +94,8 @@ def test_flag_a_command_does_not_read_exits_1(capsys, monkeypatch, tmp_path, arg
 
 @pytest.mark.parametrize("command", ["orient", "solve", "render"])
 def test_snapshot_without_timepoint_mode_exits_1(capsys, monkeypatch, tmp_path, command):
+    # The scenario is the --snapshot file or its absence; the old spelling
+    # "--mode max --snapshot F" is a usage error, and no file is read.
     monkeypatch.chdir(tmp_path)
     code, out, err = run(
         capsys, command, "--data-dir", GRID30, "--mode", "max",
@@ -102,15 +104,15 @@ def test_snapshot_without_timepoint_mode_exits_1(capsys, monkeypatch, tmp_path, 
     assert code == 1
     assert out == ""
     assert "usage" in err.lower()
-    assert err.endswith("error: --snapshot requires --mode timepoint\n")
+    assert err.endswith("error: unrecognized arguments: --mode max\n")
 
 
 @pytest.mark.parametrize("command", ["orient", "solve", "render"])
 @pytest.mark.parametrize(
     "flags, message",
     [
-        (("--mode", "timepoint"), "--mode timepoint requires --snapshot"),
-        (("--snapshot", "Snapshot.csv"), "--snapshot requires --mode timepoint"),
+        (("--mode", "timepoint"), "unrecognized arguments: --mode timepoint"),
+        (("--snapshot", "Snapshot.csv", "--mode", "max"), "unrecognized arguments: --mode max"),
     ],
     ids=["timepoint-without-snapshot", "snapshot-without-timepoint"],
 )
@@ -172,7 +174,7 @@ def test_stderr_holds_the_warnings_of_each_stage_the_command_runs(
     argv, stages = WARNING_RUNS[run_name]
     snapshot_csv = data / "Snapshot.csv" if mode == "timepoint" else None
     if snapshot_csv is not None:
-        argv = [*argv, "--mode", "timepoint", "--snapshot", str(snapshot_csv)]
+        argv = [*argv, "--snapshot", str(snapshot_csv)]
     code, _out, err = run(capsys, *argv, "--data-dir", str(data))
     assert code == 0
     assert err == stage_stderr(data, stages, snapshot_csv)
@@ -180,7 +182,7 @@ def test_stderr_holds_the_warnings_of_each_stage_the_command_runs(
 
 def test_orient_timepoint_prints_the_snapshot_warning(capsys, tmp_path):
     code, _out, err = run(
-        capsys, "orient", "--data-dir", GRID30, "--mode", "timepoint",
+        capsys, "orient", "--data-dir", GRID30,
         "--snapshot", str(FIXTURES / "grid30" / "Snapshot.csv"),
         "--out", str(tmp_path / "orientation.csv"),
     )
@@ -377,8 +379,6 @@ def test_solve_reports_zero_objective(capsys, tmp_path):
         "solve",
         "--data-dir",
         str(FIXTURES / "pair"),
-        "--mode",
-        "max",
         "--out",
         str(out_dir),
     )
@@ -393,13 +393,18 @@ def test_solve_reports_zero_objective(capsys, tmp_path):
     assert (out_dir / "orientation.csv").exists()
 
 
-def test_solve_timepoint_requires_snapshot(capsys):
-    code, _out, err = run(
-        capsys, "solve", "--data-dir", str(FIXTURES / "pair"), "--mode", "timepoint"
-    )
-    assert code == 1
-    assert "usage" in err.lower()
-    assert err.endswith("error: --mode timepoint requires --snapshot\n")
+def test_solve_timepoint_requires_snapshot(capsys, monkeypatch, tmp_path):
+    # The time point is the --snapshot file: given alone, it brings the
+    # snapshot's warning to each scenario command; without it every
+    # generator runs at capacity and no snapshot warning appears.
+    monkeypatch.chdir(tmp_path)
+    snapshot = str(FIXTURES / "grid30" / "Snapshot.csv")
+    warning = "warning: generator G03 output 260.0 exceeds capacity 250.0; accepted\n"
+    for command in (["orient"], ["solve"], ["render", "--format", "dot"], ["render"]):
+        code, _out, err = run(capsys, *command, "--data-dir", GRID30, "--snapshot", snapshot)
+        assert (code, err) == (0, warning), command
+        code, _out, err = run(capsys, *command, "--data-dir", GRID30)
+        assert code == 0 and "G03" not in err, command
 
 
 def test_solve_timepoint_mode(capsys, tmp_path):
@@ -408,8 +413,6 @@ def test_solve_timepoint_mode(capsys, tmp_path):
         "solve",
         "--data-dir",
         str(FIXTURES / "grid30"),
-        "--mode",
-        "timepoint",
         "--snapshot",
         str(FIXTURES / "grid30" / "Snapshot.csv"),
         "--out",
@@ -423,11 +426,8 @@ def test_diff_between_scenarios(capsys, tmp_path):
     base = tmp_path / "base.csv"
     morning = tmp_path / "morning.csv"
     for out, mode_args in (
-        (base, ["--mode", "max"]),
-        (
-            morning,
-            ["--mode", "timepoint", "--snapshot", str(FIXTURES / "grid30" / "Snapshot.csv")],
-        ),
+        (base, []),
+        (morning, ["--snapshot", str(FIXTURES / "grid30" / "Snapshot.csv")]),
     ):
         code, _out, _err = run(
             capsys,

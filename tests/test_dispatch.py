@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import re
 import shutil
 import time
 from types import MappingProxyType
@@ -94,6 +95,9 @@ def test_snapshot_mode_validation(tmp_path):
         make_snapshot(dataset, "timepoint")
     with pytest.raises(ValueError):
         make_snapshot(dataset, "whatever")
+    missing = tmp_path / "no" / "such" / "Snapshot.csv"
+    with pytest.raises(ValueError, match=re.escape(str(missing))):
+        make_snapshot(dataset, "max", missing)
 
 
 def _stacked_fixture(name, root):

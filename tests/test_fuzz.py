@@ -103,7 +103,7 @@ def test_damaged_copies_fail_cleanly_with_a_location(tmp_path):
         for argv in (
             ["validate"],
             ["solve", "--out", out / "solve"],
-            ["solve", "--mode", "timepoint", "--snapshot", data / "Snapshot.csv", "--out", out / "tp"],
+            ["solve", "--snapshot", data / "Snapshot.csv", "--out", out / "tp"],
             ["render", "--format", "svg", "--out", out / "render.svg"],
         ):
             code, err = _run([argv[0], "--data-dir", data, *argv[1:]])

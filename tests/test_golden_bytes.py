@@ -1,11 +1,11 @@
 """Golden bytes: every CLI artifact, stdout and stderr on every fixture.
 
 Each fixture goes through ``validate``, ``orient``, ``similarity``,
-``demand-index``, ``solve`` in ``--mode max`` and, where the fixture
-ships a ``Snapshot.csv``, in ``--mode timepoint``, ``diff`` between the
-two solve orientations, and ``render`` in every format. The sha256 of
-each output file and of each command's stdout and stderr must match
-``golden_sha256.json``. Outputs go to nested directories that do not
+``demand-index``, ``solve`` with every generator at capacity and, where
+the fixture ships a ``Snapshot.csv``, with ``--snapshot`` (the time
+point), ``diff`` between the two solve orientations, and ``render`` in
+every format. The sha256 of each output file and of each command's
+stdout and stderr must match ``golden_sha256.json``. Outputs go to nested directories that do not
 exist yet, so directory creation is covered too.
 
 Regenerate the digests only when an output format changes on purpose:
@@ -63,9 +63,9 @@ def cli_artifacts(fixture: str, work: Path) -> dict[str, bytes]:
         outputs, "demand-index",
         "demand-index", "--data-dir", data, "--out", out / "rdi" / "demand_index.csv",
     )
-    modes = [("solve-max", ["--mode", "max"])]
+    modes = [("solve-max", [])]
     if (data / "Snapshot.csv").is_file():
-        modes.append(("solve-timepoint", ["--mode", "timepoint", "--snapshot", data / "Snapshot.csv"]))
+        modes.append(("solve-timepoint", ["--snapshot", data / "Snapshot.csv"]))
     for name, mode_args in modes:
         _run(outputs, name, "solve", "--data-dir", data, *mode_args, "--out", out / name)
         for artifact in ("orientation.csv", "flows.csv", "buses.csv", "summary.txt"):

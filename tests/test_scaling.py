@@ -164,10 +164,10 @@ def test_paper_scale_solve_through_the_cli_takes_under_a_second(tmp_path):
 
 
 def solve_chain_heap(data_dir, out_dir) -> dict[str, tuple[int, int]]:
-    """Run ``solve --mode max`` on the CSV family in ``data_dir`` under
-    tracemalloc, writing to ``out_dir``; return each stage's live bytes
-    after it and its peak, in chain order. A stage's peak counts from the
-    end of the stage before, so the largest is the chain's peak."""
+    """Run ``solve`` without a snapshot on the CSV family in ``data_dir``
+    under tracemalloc, writing to ``out_dir``; return each stage's live
+    bytes after it and its peak, in chain order. A stage's peak counts
+    from the end of the stage before, so the largest is the chain's peak."""
     stages: dict[str, tuple[int, int]] = {}
 
     def done(stage: str) -> None:

@@ -11,9 +11,11 @@ error; converters raise without a location. No other function may pass
 No module assigns ``__all__``: every name has one import path, its
 submodule, so a list of exports would only restate the module.
 
-Every module-level function and class, and every method, is named
-somewhere in the package, so no definition lives only for the tests.
-The few that stay for other callers are listed with their reason. In
+Every module-level function, class and assigned name, and every
+method, is used somewhere in the package, so no definition lives only
+for the tests: a method where it is called, a property or a module-level
+name where it is read. The few that stay for other callers are listed
+with their reason. In
 the same way, every field of a package dataclass, and every attribute
 a package method stores on ``self``, is read somewhere in the package,
 so no object carries data that nothing uses.
@@ -169,45 +171,66 @@ def test_all_guard_flags_every_binding():
     assert all_assignments(source, "m.py") == ["m.py:1", "m.py:2", "m.py:3", "m.py:4", "m.py:6"]
 
 
-#: Definitions no package code names, each kept for a caller outside it.
+#: Definitions no package code uses, each kept for a caller outside it.
 UNREFERENCED = {
+    "cli.py:_Parser.error": "argparse calls it on a usage error",
     "direction.py:Orientation.endpoint_map": "perfbench diffs two orientations with it",
+    "dispatch.py:BusLoad.total": "perfbench checks bus-load mass with it",
     "dispatch.py:GenerationSnapshot.total_output": "perfbench checks bus-load mass against it",
+    "render.py:DEFAULT_STYLE": "perfbench renders with it",
 }
 
 
+def _is_property(method: ast.FunctionDef) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == "property" for d in method.decorator_list)
+
+
 def unreferenced_definitions(sources: dict[str, str]) -> list[str]:
-    """``module:name`` of each module-level function or class, and each
-    method (``module:Class.name``), whose name no ``ast.Name`` or
-    ``ast.Attribute`` in ``sources`` carries. Dunders are exempt; an
-    import or a string is not a use."""
-    defined, used = [], set()
+    """``module:name`` of each module-level function, class or assigned
+    name (tuple targets included), and each method (``module:Class.name``),
+    that no code in ``sources`` uses. A function or class is used where
+    an ``ast.Name`` or ``ast.Attribute`` carries its name; a module-level
+    name, or a ``@property``, where a load carries it; any other method
+    only where it is called (``x.name(...)`` on any receiver, ``super()``
+    and call results included). Dunders are exempt; an import or a
+    string is not a use."""
+    defined, named, loaded, called = [], set(), set(), set()
     for module, source in sources.items():
         tree = ast.parse(source, filename=module)
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                defined.append((f"{module}:{node.name}", node.name))
-            if isinstance(node, ast.ClassDef):
+                defined.append((f"{module}:{node.name}", node.name, named))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
                 defined += [
-                    (f"{module}:{node.name}.{m.name}", m.name)
-                    for m in node.body
-                    if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    (f"{module}:{name.id}", name.id, loaded)
+                    for target in targets
+                    for name in ast.walk(target)
+                    if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store)
                 ]
+            if isinstance(node, ast.ClassDef):
+                for m in node.body:
+                    if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        uses = loaded if _is_property(m) else called
+                        defined.append((f"{module}:{node.name}.{m.name}", m.name, uses))
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
+            if isinstance(node, (ast.Name, ast.Attribute)):
+                name = node.id if isinstance(node, ast.Name) else node.attr
+                named.add(name)
+                if isinstance(node.ctx, ast.Load):
+                    loaded.add(name)
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                called.add(node.func.attr)
     return [
         key
-        for key, name in defined
-        if name not in used and not (name.startswith("__") and name.endswith("__"))
+        for key, name, uses in defined
+        if name not in uses and not (name.startswith("__") and name.endswith("__"))
     ]
 
 
 def test_every_definition_is_named_in_the_package():
     sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
-    # Equality, so an entry goes once the package names it.
+    # Equality, so an entry goes once the package uses it.
     assert sorted(unreferenced_definitions(sources)) == sorted(UNREFERENCED)
 
 
@@ -218,17 +241,34 @@ def test_dead_code_guard_flags_unnamed_definitions():
             "__all__ = ['Dead', 'unused']\n"
             "def used(): pass\n"
             "def unused(): pass\n"
+            "READ, (STORED, *REST) = 1, (2, 3)\n"
+            "LIMIT: int = READ\n"
             "class C:\n"
             "    def __init__(self): pass\n"
             "    def called(self): pass\n"
             "    def dead(self): pass\n"
+            "    def loaded(self): pass\n"
+            "    def chained(self): pass\n"
+            "    def inherited(self): super().inherited()\n"
             "    @property\n"
             "    def prop(self): return 1\n"
             "class Dead: pass\n"
         ),
-        "b.py": "used()\nC().called()\nx.prop\n",
+        "b.py": (
+            "used()\nC().called()\nx.prop\nhook = x.loaded\nf().chained()\n"
+            "STORED = 4\nm.REST = 5\nprint(m.LIMIT)\n"
+        ),
     }
-    assert unreferenced_definitions(sources) == ["a.py:unused", "a.py:C.dead", "a.py:Dead"]
+    assert unreferenced_definitions(sources) == [
+        "a.py:unused",
+        "a.py:STORED",
+        "a.py:REST",
+        "a.py:C.dead",
+        "a.py:C.loaded",
+        "a.py:Dead",
+        "b.py:hook",
+        "b.py:STORED",
+    ]
 
 
 #: Dataclass fields no package code reads, each kept for a reader outside it.
