@@ -80,7 +80,6 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("fetch", parents=[data], help="download manifest datasets")
     p.add_argument("--manifest", type=Path, help="manifest file (default: <data-dir>/manifest.txt)")
-    p.add_argument("--cache-dir", type=Path, help="cache directory (default: <data-dir>)")
     p.set_defaults(run=_cmd_fetch)
     p = sub.add_parser("validate", parents=[data], help="load and report dataset findings")
     p.set_defaults(run=_cmd_validate)
@@ -155,9 +154,8 @@ def _cmd_fetch(args) -> str:
     from .fetch import FetchError, fetch_dataset
 
     manifest = args.manifest or (args.data_dir / "manifest.txt")
-    cache_dir = args.cache_dir or args.data_dir
     try:
-        paths = fetch_dataset(manifest, cache_dir)
+        paths = fetch_dataset(manifest, args.data_dir)
     except FetchError as exc:
         raise ValueError(str(exc)) from exc
     for path in paths:

@@ -1,14 +1,14 @@
-"""Generic manifest-driven file fetcher with a content-addressed cache.
+"""Generic manifest-driven file fetcher that fills a dataset directory.
 
-The manifest is a plain-text file; each non-comment line maps a dataset
-name to a URL and its expected SHA-256 hex digest:
+The manifest is a plain-text file; each non-comment line maps a plain
+file name to a URL and its expected SHA-256 hex digest:
 
-    substations  https://example.org/Substation.csv  3a7bd3e2360a3d29...
+    Substation.csv  https://example.org/Substation.csv  3a7bd3e2360a3d29...
     # comments and blank lines are ignored
 
-Cached files are named ``<name>-<hash prefix><ext>``. A cached file
+Each file is written to ``<data dir>/<name>``. A file already there
 whose content matches the expected digest is reused without touching
-the network; a cached file whose content differs is never silently
+the network; a file whose content differs is never silently
 overwritten. Each failure is a :class:`FetchError` that carries only
 its message, which names the dataset or the path.
 """
@@ -69,6 +69,8 @@ def parse_manifest(path) -> tuple[ManifestEntry, ...]:
                 f"{path}: line {lineno}: expected '<name> <url> <sha256>', got {raw!r}"
             )
         name, url, digest = parts
+        if Path(name).name != name or name in (".", ".."):
+            raise ManifestError(f"{path}: line {lineno}: name {name!r} is not a plain file name")
         digest = digest.lower()
         if len(digest) != 64 or any(c not in "0123456789abcdef" for c in digest):
             raise ManifestError(f"{path}: line {lineno}: bad sha256 digest {digest!r}")
@@ -100,30 +102,29 @@ def _download(entry: ManifestEntry) -> bytes:
         raise NetworkError(f"fetching {entry.name}: {exc}") from exc
 
 
-def fetch_dataset(manifest_path, cache_dir) -> list[Path]:
-    """Materialize every manifest entry in the cache; return the paths.
+def fetch_dataset(manifest_path, data_dir) -> list[Path]:
+    """Write every manifest entry to ``data_dir/<name>``; return the paths.
 
-    Entries already cached with the expected content are returned
+    Entries already present with the expected content are returned
     without any network access. A file-system failure raises a
     FetchError naming the path.
     """
     entries = parse_manifest(manifest_path)  # a bad manifest creates no directory
-    cache_dir = Path(cache_dir)
+    data_dir = Path(data_dir)
     try:
-        cache_dir.mkdir(parents=True, exist_ok=True)
+        data_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise FetchError(f"cannot create cache directory {cache_dir}: {exc}") from exc
+        raise FetchError(f"cannot create data directory {data_dir}: {exc}") from exc
     paths = []
     for entry in entries:
-        ext = Path(urlparse(entry.url).path).suffix or ".dat"
-        target = cache_dir / f"{entry.name}-{entry.sha256[:16]}{ext}"
+        target = data_dir / entry.name
         if target.exists():
             try:
                 actual = _sha256_file(target)
             except OSError as exc:
-                raise FetchError(f"cannot read cached {target}: {exc}") from exc
+                raise FetchError(f"cannot read {target}: {exc}") from exc
             if actual != entry.sha256:
-                raise HashMismatch(entry.name, entry.sha256, actual, f"cached {target}")
+                raise HashMismatch(entry.name, entry.sha256, actual, f"existing {target}")
             paths.append(target)
             continue
         payload = _download(entry)
@@ -133,7 +134,11 @@ def fetch_dataset(manifest_path, cache_dir) -> list[Path]:
         tmp = target.with_suffix(target.suffix + ".part")
         try:
             tmp.write_bytes(payload)
-            os.replace(tmp, target)
+            try:
+                os.replace(tmp, target)
+            except OSError:
+                tmp.unlink()  # only a written .part file is ours to remove
+                raise
         except OSError as exc:
             raise FetchError(f"cannot write {target}: {exc}") from exc
         paths.append(target)

@@ -15,7 +15,7 @@ from gridtopo.demand import allocate_demand_index
 from gridtopo.direction import orient_all, read_orientation_csv
 from gridtopo.dispatch import estimate_bus_load, make_snapshot
 from gridtopo.graph import build_grid
-from gridtopo.ingest import load_dataset
+from gridtopo.ingest import DATASET_FILES, load_dataset
 
 from helpers import FIXTURE_NAMES, FIXTURES, command_flags, write_latin1_substations
 
@@ -48,7 +48,7 @@ SOLVE_FLAGS = {"--data-dir", "--seed", "--snapshot", "--urban-share", "--out"}
 
 #: The flags each command reads, and no others.
 COMMAND_FLAGS = {
-    "fetch": {"--data-dir", "--manifest", "--cache-dir"},
+    "fetch": {"--data-dir", "--manifest"},
     "validate": {"--data-dir"},
     "orient": {"--data-dir", "--seed", "--snapshot", "--out"},
     "similarity": {"--data-dir", "--out"},
@@ -61,7 +61,7 @@ COMMAND_FLAGS = {
 
 def test_each_command_takes_only_the_flags_it_reads():
     assert command_flags() == COMMAND_FLAGS
-    assert sum(map(len, COMMAND_FLAGS.values())) == 24
+    assert sum(map(len, COMMAND_FLAGS.values())) == 23
 
 
 GRID30 = str(FIXTURES / "grid30")
@@ -77,6 +77,7 @@ IGNORED_FLAGS = [
     (["demand-index", "--data-dir", GRID30, "--mode", "max"], "--mode"),
     (["orient", "--data-dir", GRID30, "--urban-share", "0.5"], "--urban-share"),
     (["fetch", "--data-dir", GRID30, "--seed", "7"], "--seed"),
+    (["fetch", "--data-dir", GRID30, "--cache-dir", "x"], "--cache-dir"),
 ]
 
 
@@ -653,29 +654,14 @@ def test_fetch_via_file_urls(capsys, tmp_path):
     src.write_bytes(payload)
     digest = hashlib.sha256(payload).hexdigest()
     manifest = tmp_path / "manifest.txt"
-    manifest.write_text(f"snapshot {src.as_uri()} {digest}\n", encoding="utf-8")
-    cache = tmp_path / "cache"
-    code, out, _err = run(
-        capsys,
-        "fetch",
-        "--manifest",
-        str(manifest),
-        "--cache-dir",
-        str(cache),
-        "--data-dir",
-        str(tmp_path),
-    )
+    manifest.write_text(f"Snapshot.csv {src.as_uri()} {digest}\n", encoding="utf-8")
+    data = tmp_path / "data"
+    code, out, _err = run(capsys, "fetch", "--manifest", str(manifest), "--data-dir", str(data))
     assert code == 0
-    assert f"snapshot-{digest[:16]}.csv" in out
+    assert f"{data / 'Snapshot.csv'}\n" in out
+    assert (data / "Snapshot.csv").read_bytes() == payload
     code, _out, err = run(
-        capsys,
-        "fetch",
-        "--manifest",
-        str(tmp_path / "nope.txt"),
-        "--cache-dir",
-        str(cache),
-        "--data-dir",
-        str(tmp_path),
+        capsys, "fetch", "--manifest", str(tmp_path / "nope.txt"), "--data-dir", str(data)
     )
     assert code == 1
     assert err.startswith("error: cannot read manifest")
@@ -684,14 +670,32 @@ def test_fetch_via_file_urls(capsys, tmp_path):
 def test_fetch_into_a_regular_file_exits_1_without_traceback(capsys, tmp_path):
     manifest = tmp_path / "manifest.txt"
     manifest.write_text("# no datasets\n", encoding="utf-8")
-    blocker = tmp_path / "cache"
+    blocker = tmp_path / "data"
     blocker.write_bytes(b"")
     code, _out, err = run(
-        capsys, "fetch", "--manifest", str(manifest), "--cache-dir", str(blocker)
+        capsys, "fetch", "--manifest", str(manifest), "--data-dir", str(blocker)
     )
     assert code == 1
-    assert err.startswith(f"error: cannot create cache directory {blocker}: ")
+    assert err.startswith(f"error: cannot create data directory {blocker}: ")
     assert "Traceback" not in err
+
+
+def test_fetch_fills_a_data_dir_that_validate_reads(capsys, tmp_path):
+    grid30 = FIXTURES / "grid30"
+    manifest = tmp_path / "manifest.txt"
+    with manifest.open("w", encoding="utf-8") as fh:
+        for name in DATASET_FILES.values():
+            source = grid30 / name
+            digest = hashlib.sha256(source.read_bytes()).hexdigest()
+            fh.write(f"{name} {source.resolve().as_uri()} {digest}\n")
+    data = tmp_path / "data"
+    code, out, _err = run(capsys, "fetch", "--manifest", str(manifest), "--data-dir", str(data))
+    assert code == 0
+    assert out.splitlines()[:-1] == [str(data / name) for name in DATASET_FILES.values()]
+    assert repr(load_dataset(data)) == repr(load_dataset(grid30))
+    code, out, _err = run(capsys, "validate", "--data-dir", str(data))
+    assert code == 0
+    assert out.startswith("dataset is clean\n")
 
 
 def test_cli_import_does_not_load_numpy():
