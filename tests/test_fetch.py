@@ -109,6 +109,27 @@ def test_fetch_detects_corrupted_cache(tmp_path, source):
     assert path.read_bytes() == b"tampered"  # never silently overwritten
 
 
+def test_fetch_leaves_an_existing_file_with_other_bytes_alone(tmp_path, source, monkeypatch):
+    import gridtopo.fetch as fetch_mod
+
+    src, payload = source
+    manifest = write_manifest(tmp_path, [f"Substation.csv {src.as_uri()} {sha(payload)}"])
+    data = tmp_path / "data"
+    data.mkdir()
+    mine = b"id,name,x,y,voltage_kv\nS9,Mine,1.0,1.0,138.0\n"
+    (data / "Substation.csv").write_bytes(mine)
+
+    def boom(*args, **kwargs):
+        raise AssertionError("downloaded over an existing file")
+
+    monkeypatch.setattr(fetch_mod, "_download", boom)
+    with pytest.raises(HashMismatch) as err:
+        fetch_dataset(manifest, data)
+    assert f"existing {data / 'Substation.csv'}" in str(err.value)
+    assert (data / "Substation.csv").read_bytes() == mine
+    assert sorted(p.name for p in data.iterdir()) == ["Substation.csv"]
+
+
 def test_fetch_rejects_wrong_expected_hash(tmp_path, source):
     src, _payload = source
     manifest = write_manifest(tmp_path, [f"Substation.csv {src.as_uri()} {'1' * 64}"])
